@@ -115,7 +115,6 @@ class AdelicFixedPointReport:
     xi: Fraction
     real: PlaceClassification
     finite_exceptions: tuple[PlaceClassification, ...]
-    default_kind: Stability = Stability.INDIFFERENT
 
     def at(self, v: Place) -> PlaceClassification:
         """Classification at any place, materializing the default."""
@@ -124,7 +123,7 @@ class AdelicFixedPointReport:
         for entry in self.finite_exceptions:
             if entry.place == v:
                 return entry
-        return PlaceClassification(v, self.default_kind, Fraction(1))
+        return PlaceClassification(v, Stability.INDIFFERENT, Fraction(1))
 
     def to_dict(self) -> dict:
         return {
@@ -132,27 +131,27 @@ class AdelicFixedPointReport:
             "places": [
                 c.to_dict() for c in (self.real, *self.finite_exceptions)
             ],
-            "default": self.default_kind.value,
+            "default": Stability.INDIFFERENT.value,
         }
 
 
-def _report_for_multiplier(
-    xi: Fraction, multiplier: Fraction, bound: int
+def _place_table(
+    xi: Fraction, q: Fraction, exponent: int, sets: ExceptionalSets
 ) -> AdelicFixedPointReport:
-    sets = exceptional_primes(multiplier, bound)
-    real_norm = abs(multiplier)
-    finite = tuple(
-        PlaceClassification(
-            Place(p),
-            stability_from_norm(padic_norm(multiplier, p)),
-            padic_norm(multiplier, p),
-        )
-        for p in sets.all_primes()
-    )
+    """Report for xi whose multiplier norm at every place v is |q|_v ** exponent.
+
+    `sets` are the exceptional primes of q; at every other prime the norm
+    is 1 and the default (indifferent) applies.
+    """
+
+    def entry(v: Place) -> PlaceClassification:
+        norm = place_norm(q, v) ** exponent
+        return PlaceClassification(v, stability_from_norm(norm), norm)
+
     return AdelicFixedPointReport(
         xi=xi,
-        real=PlaceClassification(REAL, stability_from_norm(real_norm), real_norm),
-        finite_exceptions=finite,
+        real=entry(REAL),
+        finite_exceptions=tuple(entry(Place(p)) for p in sets.all_primes()),
     )
 
 
@@ -165,8 +164,9 @@ def adelic_report(
     reports share their exceptional primes with kinds swapped.
     """
     return [
-        _report_for_multiplier(xi, m.derivative_at(xi), bound)
+        _place_table(xi, multiplier, 1, exceptional_primes(multiplier, bound))
         for xi in fixed_points(m).points
+        for multiplier in [m.derivative_at(xi)]
     ]
 
 
@@ -207,51 +207,6 @@ def recognize_case(m: MoebiusMap) -> set[CaseTag]:
     return tags
 
 
-def _indifferent_everywhere(xi: Fraction) -> AdelicFixedPointReport:
-    one = Fraction(1)
-    return AdelicFixedPointReport(
-        xi=xi,
-        real=PlaceClassification(REAL, Stability.INDIFFERENT, one),
-        finite_exceptions=(),
-    )
-
-
-def _two_point_table(
-    q: Fraction, xi_small: Fraction, xi_large: Fraction, bound: int
-) -> list[AdelicFixedPointReport]:
-    """Reports keyed on the norms of q alone.
-
-    `xi_small` attracts where |q|_v < 1 (its multiplier is q^2), `xi_large`
-    where |q|_v > 1 (multiplier q^-2); both are indifferent at all other
-    places.  When q = +/-1 the two points coincide and fuse.
-    """
-    if xi_small == xi_large:
-        return [_indifferent_everywhere(xi_small)]
-    sets = exceptional_primes(q, bound)
-
-    def build(xi: Fraction, exponent: int) -> AdelicFixedPointReport:
-        real_norm = abs(q) ** exponent
-        finite = tuple(
-            PlaceClassification(
-                Place(p),
-                stability_from_norm(padic_norm(q, p) ** exponent),
-                padic_norm(q, p) ** exponent,
-            )
-            for p in sets.all_primes()
-        )
-        return AdelicFixedPointReport(
-            xi=xi,
-            real=PlaceClassification(
-                REAL, stability_from_norm(real_norm), real_norm
-            ),
-            finite_exceptions=finite,
-        )
-
-    reports = [build(xi_small, 2), build(xi_large, -2)]
-    reports.sort(key=lambda r: r.xi)
-    return reports
-
-
 def case_predicted_report(
     tag: CaseTag, m: MoebiusMap, bound: int = DEFAULT_FACTOR_BOUND
 ) -> list[AdelicFixedPointReport]:
@@ -263,17 +218,26 @@ def case_predicted_report(
     if tag not in recognize_case(m):
         raise CaseMismatch(f"map does not satisfy the case {tag.value} constraints")
     a, b, c, d = m.coefficients()
+    # q is the family's key quantity: xi_small has multiplier q^2 (it
+    # attracts where |q|_v < 1), xi_large has q^-2.  The fused families
+    # have q = 1 and a single point, indifferent everywhere.
     if tag is CaseTag.A:
-        return _two_point_table(d, (1 - d * d) / (c * d), Fraction(0), bound)
-    if tag is CaseTag.B:
-        return _two_point_table(a - b, Fraction(1), Fraction(-1), bound)
-    fused = {
-        CaseTag.C: Fraction(-1),
-        CaseTag.D: Fraction(1),
-        CaseTag.E: (a - 1) / c,
-        CaseTag.F: (a + 1) / c,
-    }[tag]
-    return [_indifferent_everywhere(fused)]
+        q, xi_small, xi_large = d, (1 - d * d) / (c * d), Fraction(0)
+    elif tag is CaseTag.B:
+        q, xi_small, xi_large = a - b, Fraction(1), Fraction(-1)
+    else:
+        q = Fraction(1)
+        xi_small = xi_large = {
+            CaseTag.C: Fraction(-1),
+            CaseTag.D: Fraction(1),
+            CaseTag.E: (a - 1) / c,
+            CaseTag.F: (a + 1) / c,
+        }[tag]
+    sets = exceptional_primes(q, bound)
+    reports = [_place_table(xi_small, q, 2, sets)]
+    if xi_large != xi_small:  # the two points fuse exactly when q = +/-1
+        reports.append(_place_table(xi_large, q, -2, sets))
+    return sorted(reports, key=lambda r: r.xi)
 
 
 def case_a_map(a: RationalLike, c: RationalLike) -> MoebiusMap:

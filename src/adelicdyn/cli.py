@@ -34,10 +34,9 @@ from .classification import (
     recognize_case,
 )
 from .dynamics import (
+    DEFAULT_BIT_GUARD,
+    DEFAULT_MAX_STEPS,
     AdelePoint,
-    BehaviorEvidence,
-    BehaviorVerdict,
-    VerdictKind,
     basin_sample,
     detect_behavior,
     iterate_at_place,
@@ -53,7 +52,12 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .exact import is_perfect_square, parse_rational
+from .exact import (
+    DEFAULT_FACTOR_BOUND,
+    is_perfect_square,
+    parse_integer,
+    parse_rational,
+)
 from .moebius import MoebiusMap, cross_ratio, fixed_points, modular_family
 from .padic import Place
 
@@ -61,17 +65,19 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
+#: Counts and limits; a negative value is bad input (exit 2).
+COUNT = click.IntRange(min=0)
+
 
 @dataclass
 class RunConfig:
-    """Knobs shared by all subcommands; defaults match the library."""
+    """Knobs shared by all subcommands, as set by the global options."""
 
-    fmt: str = "table"
-    factor_bound: int = 10**6
-    max_steps: int = 10**4
-    bit_guard: int = 10**6
-    window: int = 16
-    audit_primes: int | None = None
+    fmt: str
+    factor_bound: int
+    max_steps: int
+    bit_guard: int
+    audit_primes: int | None
 
 
 def handle_errors(fn):
@@ -133,12 +139,14 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
     envvar="ADELICDYN_FORMAT",
     help="Output format on stdout.",
 )
-@click.option("--factor-bound", type=int, default=10**6, show_default=True)
-@click.option("--max-steps", type=int, default=10**4, show_default=True)
-@click.option("--bit-guard", type=int, default=10**6, show_default=True)
+@click.option(
+    "--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND, show_default=True
+)
+@click.option("--max-steps", type=COUNT, default=DEFAULT_MAX_STEPS, show_default=True)
+@click.option("--bit-guard", type=COUNT, default=DEFAULT_BIT_GUARD, show_default=True)
 @click.option(
     "--audit-primes",
-    type=int,
+    type=COUNT,
     default=None,
     help="Re-verify cofinite indifference for all primes up to N.",
 )
@@ -213,26 +221,11 @@ def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
     return max(points)
 
 
-def _short_record_verdict(record, window: int) -> BehaviorVerdict:
-    dists = record.distances()
-    return BehaviorVerdict(
-        VerdictKind.UNDETERMINED,
-        BehaviorEvidence(
-            window=window,
-            strictly_decreasing=False,
-            strictly_increasing=False,
-            constant_run=1,
-            final_dist=dists[-1],
-            start_inside_radius=None,
-        ),
-    )
-
-
 @cli.command()
 @click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
 @click.option("--x0", required=True, help="Starting point.")
 @click.option("--place", required=True, help="'real' or a prime.")
-@click.option("--steps", type=int, default=None, help="Defaults to --max-steps.")
+@click.option("--steps", type=COUNT, default=None, help="Defaults to --max-steps.")
 @click.option("--xi", default=None, help="Reference fixed point.")
 @click.pass_obj
 @handle_errors
@@ -249,13 +242,8 @@ def iterate(cfg: RunConfig, map, x0, place, steps, xi):
         v,
         max_steps=steps if steps is not None else cfg.max_steps,
         bit_guard=cfg.bit_guard,
-        window=cfg.window,
     )
-    window = min(cfg.window, len(record.steps) - 1)
-    if window >= 1:
-        verdict = detect_behavior(record, m, window)
-    else:
-        verdict = _short_record_verdict(record, cfg.window)
+    verdict = detect_behavior(record, m)
     doc = {
         "map": m.to_dict(),
         "place": str(v),
@@ -297,9 +285,8 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
             prime_text, _, value_text = item.partition("=")
             if not value_text:
                 raise ParseError(f"--at needs 'p=x', got {item!r}")
-            if not prime_text.isdigit():
-                raise ParseError(f"--at prime must be a positive integer: {item!r}")
-            finite[int(prime_text)] = parse_rational(value_text)
+            p = parse_integer(prime_text, f"the prime of --at {item!r}", signed=False)
+            finite[p] = parse_rational(value_text)
         point = AdelePoint(
             real=parse_rational(real),
             finite=finite,
@@ -322,7 +309,7 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
 @click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
 @click.option("--xi", required=True, help="Fixed point to refer to.")
 @click.option("--place", required=True, help="'real' or a prime.")
-@click.option("--height", type=int, required=True, help="Max |num| and den of x0.")
+@click.option("--height", type=COUNT, required=True, help="Max |num| and den of x0.")
 @click.pass_obj
 @handle_errors
 def basin(cfg: RunConfig, map, xi, place, height):
@@ -336,7 +323,6 @@ def basin(cfg: RunConfig, map, xi, place, height):
         v,
         height,
         max_steps=cfg.max_steps,
-        window=cfg.window,
         bit_guard=cfg.bit_guard,
     )
     doc = {

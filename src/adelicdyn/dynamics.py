@@ -24,7 +24,6 @@ from .errors import (
     NotIndifferent,
     PoleAtPlace,
     PoleInput,
-    TooShort,
     ZeroInput,
 )
 from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize
@@ -198,26 +197,24 @@ def detect_behavior(
 ) -> BehaviorVerdict:
     """Classify what the recorded orbit did.
 
-    Converged means the distances over the last `window` steps strictly
-    decrease and end below `threshold` (or the orbit landed exactly on the
-    fixed point).  Sphere-invariant means the distance never changed at
-    all.  Escape is only claimed for orbits that started strictly inside
-    the locality radius, where repulsion is actually guaranteed; strict
-    growth from further out stays undetermined.
+    Converged means the orbit stopped as converged (see
+    `iterate_at_place`), or the distances over the last `window` steps
+    strictly decrease and end below `threshold`.  Sphere-invariant means
+    the distance never changed at all.  Escape is only claimed for orbits
+    that started strictly inside the locality radius, where repulsion is
+    actually guaranteed; strict growth from further out stays undetermined,
+    and so does any other orbit with fewer than `window` steps (an early
+    pole hit, the bit guard, or a small step budget).
     """
     dists = t.distances()
     rho = _locality_radius(m, t.xi, t.place)
     inside = None if rho is None else dists[0] < rho
+    used = min(window, len(dists) - 1)
+    evidence = _window_evidence(dists, used, inside)
     if t.terminated_by is Termination.CONVERGED:
-        used = min(window, len(dists) - 1)
-        return BehaviorVerdict(
-            VerdictKind.CONVERGES, _window_evidence(dists, used, inside)
-        )
-    if len(dists) < window + 1:
-        raise TooShort(
-            f"need at least {window + 1} recorded steps, have {len(dists)}"
-        )
-    evidence = _window_evidence(dists, window, inside)
+        return BehaviorVerdict(VerdictKind.CONVERGES, evidence)
+    if used < window:
+        return BehaviorVerdict(VerdictKind.UNDETERMINED, evidence)
     if len(set(dists)) == 1:
         return BehaviorVerdict(VerdictKind.SPHERE_INVARIANT, evidence)
     if evidence.strictly_decreasing and dists[-1] < threshold:
@@ -285,7 +282,8 @@ def basin_sample(
 
     Enumeration is by denominator then numerator, each rational exactly
     once, the pole skipped; a trajectory too short for the window (early
-    pole hit or overflow) is recorded as undetermined rather than raised.
+    pole hit or overflow) gets the undetermined verdict of
+    `detect_behavior` rather than raising.
     """
     xi = Fraction(xi)
     pole = m.pole
@@ -300,14 +298,7 @@ def basin_sample(
             record = iterate_at_place(
                 m, x0, xi, v, max_steps, bit_guard, window=window
             )
-            try:
-                verdict = detect_behavior(record, m, window)
-            except TooShort:
-                dists = record.distances()
-                verdict = BehaviorVerdict(
-                    VerdictKind.UNDETERMINED,
-                    _window_evidence(dists, len(dists) - 1, None),
-                )
+            verdict = detect_behavior(record, m, window)
             out.append(BasinPoint(x0, verdict, len(record.steps) - 1))
     return out
 
@@ -354,18 +345,18 @@ class AdelePoint:
             {p: Fraction(x) for p, x in self.finite.items()},
         )
         object.__setattr__(self, "elsewhere", Fraction(self.elsewhere))
+        # strip the listed primes from the tail denominator; whatever is
+        # left is made of unlisted primes where the tail is not integral
+        rest = self.elsewhere.denominator
         for p in self.finite:
             Place(p)  # validates primality
-        for p in factorize(self.elsewhere.denominator).primes():
-            if p not in self.finite:
-                raise NonIntegralTail(
-                    f"|{self.elsewhere}|_{p} > 1 but {p} is not listed"
-                )
-
-    @property
-    def integral_elsewhere(self) -> bool:
-        """True by construction; the invariant is enforced in __post_init__."""
-        return True
+            while rest % p == 0:
+                rest //= p
+        if rest != 1:
+            raise NonIntegralTail(
+                f"{self.elsewhere} is not p-integral at the unlisted primes"
+                f" p dividing {rest}"
+            )
 
     def listed_primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.finite))
@@ -420,19 +411,6 @@ def step_adele(
     )
 
 
-def product_norm(r: RationalLike, bound: int = DEFAULT_FACTOR_BOUND) -> Fraction:
-    """|r| over the ideles: |r|_inf times |r|_p at every prime dividing r."""
-    r = Fraction(r)
-    if r == 0:
-        raise ZeroInput("the idele norm needs r != 0")
-    result = abs(r)
-    for p, e in factorize(r.numerator, bound).factors:
-        result *= Fraction(p) ** -e
-    for p, e in factorize(r.denominator, bound).factors:
-        result *= Fraction(p) ** e
-    return result
-
-
 @dataclass(frozen=True)
 class ProductFormulaReport:
     """Per-place factors of |r|; their product is 1 for every nonzero r."""
@@ -464,15 +442,14 @@ def verify_product_formula(
     r = Fraction(r)
     if r == 0:
         raise ZeroInput("the product formula needs r != 0")
-    factors: list[tuple[Place, Fraction]] = [(REAL, abs(r))]
-    finite = {}
-    for p, e in factorize(r.numerator, bound).factors:
-        finite[p] = Fraction(p) ** -e
-    for p, e in factorize(r.denominator, bound).factors:
-        finite[p] = Fraction(p) ** e
-    for p in sorted(finite):
-        factors.append((Place(p), finite[p]))
-    product = Fraction(1)
-    for _, norm in factors:
-        product *= norm
-    return ProductFormulaReport(r=r, factors=tuple(factors), product=product)
+    primes = factorize(r.numerator, bound).primes()
+    primes += factorize(r.denominator, bound).primes()
+    places = (REAL, *(Place(p) for p in sorted(primes)))
+    factors = tuple((v, place_norm(r, v)) for v in places)
+    product = math.prod(norm for _, norm in factors)
+    return ProductFormulaReport(r=r, factors=factors, product=product)
+
+
+def product_norm(r: RationalLike, bound: int = DEFAULT_FACTOR_BOUND) -> Fraction:
+    """|r| over the ideles: |r|_inf times |r|_p at every prime dividing r."""
+    return verify_product_formula(r, bound).product

@@ -54,10 +54,6 @@ class NotAFixedPoint(InputError):
     """The supplied reference point is not fixed by the map."""
 
 
-class TooShort(InputError):
-    """The trajectory has fewer steps than the detection window needs."""
-
-
 class NonIntegralTail(InputError):
     """An adele's shared tail value is not p-integral at an unlisted prime."""
 

@@ -31,7 +31,7 @@ RationalLike = Fraction | int | str
 #: Trial division gives up beyond this unless asked otherwise.
 DEFAULT_FACTOR_BOUND = 10**6
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def normalize(num: int, den: int) -> Fraction:
@@ -41,14 +41,27 @@ def normalize(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> int:
+    """Parse ASCII decimal digits, led by '-' only when `signed`.
+
+    Stricter than int(), which also takes whitespace, '+', '_' and
+    non-ASCII decimal digits, and than str.isdigit(), which also takes
+    superscript digits.  The error says that `text` is not `what`.
+    """
+    if _INTEGER_RE.fullmatch(text) is None or (not signed and text[0] == "-"):
+        raise ParseError(f"{text!r} is not {what}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'n' or 'n/m': sign on the numerator only, no whitespace."""
-    m = _RATIONAL_RE.match(text)
-    if m is None:
-        raise ParseError(f"{text!r} is not of the form 'n' or 'n/m'")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    return normalize(num, den)
+    num, slash, den = text.partition("/")
+    try:
+        return normalize(
+            parse_integer(num), parse_integer(den, signed=False) if slash else 1
+        )
+    except ParseError:
+        raise ParseError(f"{text!r} is not of the form 'n' or 'n/m'") from None
 
 
 def format_rational(r: RationalLike) -> str:

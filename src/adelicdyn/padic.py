@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, NotPrime, ParseError, ZeroInput
-from .exact import RationalLike, is_prime
+from .errors import InputError, NotPrime, ZeroInput
+from .exact import RationalLike, is_prime, parse_integer
 
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
@@ -45,9 +45,7 @@ class Place:
     def from_string(cls, text: str) -> "Place":
         if text == "real":
             return REAL
-        if text.isdigit():
-            return cls(int(text))
-        raise ParseError(f"{text!r} is neither 'real' nor a prime")
+        return cls(parse_integer(text, "'real' or a prime", signed=False))
 
 
 REAL = Place()

@@ -91,7 +91,7 @@ def test_adelic_report_case_a():
     assert first.real.multiplier_norm == 4
     assert [c.place.p for c in first.finite_exceptions] == [2]
     assert first.finite_exceptions[0].kind is Stability.ATTRACTIVE
-    assert first.default_kind is Stability.INDIFFERENT
+    assert first.to_dict()["default"] == "indifferent"
     assert second.real.kind is Stability.ATTRACTIVE
     assert second.finite_exceptions[0].kind is Stability.REPELLING
     assert second.at(Place(97)).kind is Stability.INDIFFERENT

@@ -152,6 +152,60 @@ def test_table_output_aligns_columns():
     assert lines[-1].split() == ["product", "1"]
 
 
+ITERATE_SPHERE = ["iterate", "--map", "1/2,0,1,2", "--x0", "3", "--place", "3"]
+
+
+def test_iterate_short_orbit_is_undetermined():
+    # the same sphere orbit as the spec example, but shorter than the
+    # 16-step window: constant distances alone do not make a verdict
+    code, out, _ = run_cli(["--format", "json", *ITERATE_SPHERE, "--steps", "3"])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["kind"] == "undetermined"
+    assert verdict["evidence"]["window"] == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "\u00b2"],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "\u0663", "--place", "3"],
+        [
+            "adele-step", "--map", "1/2,0,1,2", "--real", "1",
+            "--elsewhere", "1", "--at", "\u00b2=1",
+        ],
+        [*ITERATE_SPHERE, "--steps", "-1"],
+        ["basin", "--map", "1/2,0,1,2", "--xi", "0", "--place", "2", "--height", "-1"],
+        ["--audit-primes", "-1", "classify", "--map", "1/2,0,1,2"],
+        ["--max-steps", "-1", *ITERATE_SPHERE],
+        ["--bit-guard", "-1", *ITERATE_SPHERE],
+    ],
+    ids=[
+        "superscript-place", "arabic-indic-x0", "superscript-at",
+        "negative-steps", "negative-height", "negative-audit-primes",
+        "negative-max-steps", "negative-bit-guard",
+    ],
+)
+def test_bad_numbers_are_bad_input(args):
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == b""
+    assert b"Traceback" not in err
+
+
+def test_adele_step_tail_check_honours_factor_bound():
+    # 1000036000099 = 1000003 * 1000033: factorable with bound 2e6 only
+    code, out, err = run_cli(
+        [
+            "--format", "json", "--factor-bound", "2000000",
+            "adele-step", "--map", "1/2,0,1,2", "--principal", "1/1000036000099",
+        ]
+    )
+    assert code == 0, err
+    listed = [c["p"] for c in json.loads(out)["input"]["components"]]
+    assert listed == [1000003, 1000033]
+
+
 def test_iterate_verdict_matches_spec_example():
     _, out, _ = run_cli(
         [

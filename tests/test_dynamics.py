@@ -27,7 +27,6 @@ from adelicdyn.errors import (
     NotAFixedPoint,
     NotIndifferent,
     PoleAtPlace,
-    TooShort,
     ZeroInput,
 )
 from adelicdyn.moebius import MoebiusMap, fixed_points
@@ -154,9 +153,28 @@ def test_detect_undetermined_outside_radius():
 
 
 def test_detect_too_short():
+    # a constant-distance orbit, but too short for the window to say so
     record = iterate_at_place(CASE_A_MAP, 3, 0, Place(3), max_steps=5)
-    with pytest.raises(TooShort):
-        detect_behavior(record, CASE_A_MAP, window=16)
+    verdict = detect_behavior(record, CASE_A_MAP, window=16)
+    assert verdict.kind is VerdictKind.UNDETERMINED
+    assert verdict.evidence.window == 5
+
+
+def test_short_orbit_verdict_is_the_same_in_a_basin_sweep():
+    # f(-8/5) = -2 is the pole, so the orbit of -8/5 stops after one step
+    x0 = Fraction(-8, 5)
+    record = iterate_at_place(CASE_A_MAP, x0, 0, REAL, max_steps=20)
+    assert record.terminated_by is Termination.POLE_HIT
+    alone = detect_behavior(record, CASE_A_MAP)
+    assert alone.kind is VerdictKind.UNDETERMINED
+    assert alone.evidence.start_inside_radius is True
+    (swept,) = [
+        point
+        for point in basin_sample(CASE_A_MAP, 0, REAL, 8, max_steps=20)
+        if point.x0 == x0
+    ]
+    assert swept.steps_used == 1
+    assert swept.verdict.to_dict() == alone.to_dict()
 
 
 def test_local_multiplier_radius_examples():
@@ -301,6 +319,18 @@ def test_adele_tail_must_be_integral():
     AdelePoint(real=1, finite={2: Fraction(1, 2)}, elsewhere=Fraction(1, 2))
 
 
+def test_adele_tail_check_needs_no_factoring():
+    # 1000036000099 = 1000003 * 1000033, both primes above the default
+    # trial-division bound, and the product above its square
+    r = Fraction(1, 1000036000099)
+    point = AdelePoint(real=r, finite={1000003: r, 1000033: r}, elsewhere=r)
+    assert point.listed_primes() == (1000003, 1000033)
+    with pytest.raises(NonIntegralTail):
+        AdelePoint(real=r, finite={1000003: r}, elsewhere=r)
+    with pytest.raises(NonIntegralTail):
+        AdelePoint(real=r, finite={}, elsewhere=r)
+
+
 def test_step_adele_keeps_restriction():
     rng = random.Random(131)
     for _ in range(40):
@@ -314,8 +344,13 @@ def test_step_adele_keeps_restriction():
                 point = step_adele(m, point)
             except PoleAtPlace:
                 break
-            # constructor re-checks the invariant; also spot-check components
-            assert point.integral_elsewhere
+            # the constructor re-checks the invariant on a rebuilt copy;
+            # dropping every listed prime breaks it unless the tail is integral
+            assert AdelePoint(point.real, point.finite, point.elsewhere) == point
+            if point.elsewhere.denominator != 1:
+                with pytest.raises(NonIntegralTail):
+                    AdelePoint(point.real, {}, point.elsewhere)
+            # also spot-check components
             for p in point.listed_primes():
                 assert point.component(Place(p)) == point.finite[p]
             assert point.component(Place(101)) == point.elsewhere

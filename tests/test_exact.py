@@ -20,6 +20,7 @@ from adelicdyn.exact import (
     is_perfect_square,
     is_prime,
     normalize,
+    parse_integer,
     parse_rational,
     primes_upto,
 )
@@ -64,10 +65,25 @@ def test_parse_rational_accepts_canonical_syntax(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", [" 3", "3 ", "3/ 2", "1.5", "", "3/-2", "+3", "a"])
+# "\u0663/\u0667" is 3/7 in Arabic-Indic digits, "\u00b2" a superscript two
+@pytest.mark.parametrize(
+    "text",
+    [" 3", "3 ", "3/ 2", "1.5", "", "3/-2", "+3", "a"]
+    + ["3\n", "\u0663/\u0667", "\u00b2", "1/\u00b2", "1_0"],
+)
 def test_parse_rational_rejects_loose_syntax(text):
     with pytest.raises(ParseError):
         parse_rational(text)
+
+
+def test_parse_integer_is_strict_ascii():
+    assert parse_integer("-12") == -12
+    assert parse_integer("007", signed=False) == 7
+    for text in ["", "-", "+1", " 1", "1\n", "\u00b2", "\u0663", "1_0"]:
+        with pytest.raises(ParseError):
+            parse_integer(text)
+    with pytest.raises(ParseError):
+        parse_integer("-1", signed=False)
 
 
 def test_parse_rational_zero_denominator():

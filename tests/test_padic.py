@@ -32,6 +32,9 @@ def test_place_construction_and_strings():
         Place.from_string("q")
     with pytest.raises(ParseError):
         Place.from_string("-3")
+    for text in ["\u00b2", "3\n", "\u0663"]:  # superscript and Arabic-Indic digits
+        with pytest.raises(ParseError):
+            Place.from_string(text)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, -7])
