@@ -286,6 +286,8 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
             if not value_text:
                 raise ParseError(f"--at needs 'p=x', got {item!r}")
             p = parse_integer(prime_text, f"the prime of --at {item!r}", signed=False)
+            if p in finite:
+                raise InputError(f"--at lists the prime {p} twice")
             finite[p] = parse_rational(value_text)
         point = AdelePoint(
             real=parse_rational(real),

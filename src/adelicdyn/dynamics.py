@@ -3,8 +3,11 @@ formula.
 
 Iteration never leaves the rationals: every orbit point and every distance
 to the reference fixed point is an exact Fraction, so statements like "the
-sphere is invariant" are literal equality checks.  A bit-size guard aborts
-runaway orbits instead of falling back to floating point.
+sphere is invariant" are literal equality checks.  Orbits are stepped as an
+integer matrix acting on the point's num/den pair, with one reduction per
+step; every recorded x and dist is still an exact, canonical Fraction.  A
+bit-size guard aborts runaway orbits instead of falling back to floating
+point.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize
 from .moebius import MoebiusMap
-from .padic import REAL, Place, place_norm
+from .padic import REAL, Place, place_norm, valuation
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_BIT_GUARD = 10**6
@@ -87,33 +90,66 @@ def iterate_at_place(
     it lands exactly on xi, or once the distance has strictly decreased for
     `window` consecutive steps and sits below `threshold` (everything after
     is fixed-point approach, and sizes would grow without bound).
+
+    The map's denominators are cleared once into an integer matrix
+    (a, b, c, d), which acts on the point as the pair num/den: a step is
+    (a num + b den) / (c num + d den) with one gcd, and the distance comes
+    from the integer num xi_den - xi_num den.  Every recorded x and dist is
+    still an exact, canonical Fraction.
     """
     x0, xi = Fraction(x0), Fraction(xi)
     if m.apply(xi) != xi:
         raise NotAFixedPoint(f"{xi} is not fixed by the map")
-    pole = m.pole
-    steps = [Step(0, x0, place_norm(x0 - xi, v))]
+    scale = math.lcm(*(k.denominator for k in m.coefficients()))
+    a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
+    xi_num, xi_den = xi.numerator, xi.denominator
+    if v.is_real:
+
+        def distance(num: int, den: int) -> Fraction:
+            return Fraction(abs(num * xi_den - xi_num * den), den * xi_den)
+
+    else:
+        p = v.p
+        xi_den_nu = valuation(xi_den, p)
+        norms: dict[int, Fraction] = {}  # p^-nu by nu, for this call only
+
+        def distance(num: int, den: int) -> Fraction:
+            t = num * xi_den - xi_num * den
+            if t == 0:
+                return Fraction(0)
+            nu = -xi_den_nu
+            while t % p == 0:
+                t //= p
+                nu += 1
+            while den % p == 0:
+                den //= p
+                nu -= 1
+            norm = norms.get(nu)
+            if norm is None:
+                norm = norms[nu] = Fraction(p) ** -nu
+            return norm
+
+    num, den = x0.numerator, x0.denominator
+    steps = [Step(0, x0, distance(num, den))]
     terminated = Termination.MAX_STEPS
-    x = x0
     decreasing_run = 0
-    if x == xi:
+    if x0 == xi:
         terminated = Termination.CONVERGED
     else:
         for n in range(1, max_steps + 1):
-            if x == pole:
+            new_den = c * num + d * den
+            if new_den == 0:  # x is the pole -d/c
                 terminated = Termination.POLE_HIT
                 break
-            x = m.apply(x)
-            if (
-                x.numerator.bit_length() > bit_guard
-                or x.denominator.bit_length() > bit_guard
-            ):
+            x = Fraction(a * num + b * den, new_den)
+            num, den = x.numerator, x.denominator
+            if num.bit_length() > bit_guard or den.bit_length() > bit_guard:
                 terminated = Termination.OVERFLOW_GUARD
                 break
-            dist = place_norm(x - xi, v)
+            dist = distance(num, den)
             decreasing_run = decreasing_run + 1 if dist < steps[-1].dist else 0
             steps.append(Step(n, x, dist))
-            if x == xi or (dist < threshold and decreasing_run >= window):
+            if x == xi or (decreasing_run >= window and dist < threshold):
                 terminated = Termination.CONVERGED
                 break
     return TrajectoryRecord(v, xi, tuple(steps), terminated)

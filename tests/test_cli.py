@@ -193,6 +193,19 @@ def test_bad_numbers_are_bad_input(args):
     assert b"Traceback" not in err
 
 
+def test_adele_step_rejects_a_repeated_prime():
+    code, out, err = run_cli(
+        [
+            "adele-step", "--map", "1/2,0,1,2", "--real", "1", "--elsewhere", "1",
+            "--at", "2=1/2", "--at", "2=3",
+        ]
+    )
+    assert code == 2
+    assert out == b""
+    assert b"twice" in err
+    assert b"Traceback" not in err
+
+
 def test_adele_step_tail_check_honours_factor_bound():
     # 1000036000099 = 1000003 * 1000033: factorable with bound 2e6 only
     code, out, err = run_cli(

@@ -8,7 +8,9 @@ import pytest
 
 from adelicdyn.dynamics import (
     AdelePoint,
+    Step,
     Termination,
+    TrajectoryRecord,
     VerdictKind,
     admissible_bound,
     basin_sample,
@@ -27,6 +29,7 @@ from adelicdyn.errors import (
     NotAFixedPoint,
     NotIndifferent,
     PoleAtPlace,
+    PoleInput,
     ZeroInput,
 )
 from adelicdyn.moebius import MoebiusMap, fixed_points
@@ -111,6 +114,101 @@ def test_orbit_matches_matrix_powers():
         record = iterate_at_place(m, x0, xi, REAL, max_steps=12)
         for step in record.steps:
             assert m.power(step.n).apply(x0) == step.x
+
+
+def definition_norm(r, v):
+    """|r|_v from the definitions: |r| at the real place, p^-nu at p."""
+    if v.is_real:
+        return abs(r)
+    if r == 0:
+        return Fraction(0)
+    nu, num, den = 0, r.numerator, r.denominator
+    while num % v.p == 0:
+        num //= v.p
+        nu += 1
+    while den % v.p == 0:
+        den //= v.p
+        nu -= 1
+    return Fraction(1, v.p**nu) if nu >= 0 else Fraction(v.p**-nu)
+
+
+def reference_orbit(m, x0, xi, v, max_steps, bit_guard, threshold, window):
+    """The orbit loop written out from (ax + b)/(cx + d) in Fractions."""
+    a, b, c, d = m.coefficients()
+    x, xi = Fraction(x0), Fraction(xi)
+    steps = [Step(0, x, definition_norm(x - xi, v))]
+
+    def record(stop):
+        return TrajectoryRecord(v, xi, tuple(steps), stop)
+
+    if x == xi:
+        return record(Termination.CONVERGED)
+    run = 0
+    for n in range(1, max_steps + 1):
+        if c * x + d == 0:
+            return record(Termination.POLE_HIT)
+        x = (a * x + b) / (c * x + d)
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_guard:
+            return record(Termination.OVERFLOW_GUARD)
+        dist = definition_norm(x - xi, v)
+        run = run + 1 if dist < steps[-1].dist else 0
+        steps.append(Step(n, x, dist))
+        if x == xi or (dist < threshold and run >= window):
+            return record(Termination.CONVERGED)
+    return record(Termination.MAX_STEPS)
+
+
+def test_orbit_matches_the_definitions():
+    # maps scaled by a random rational k keep their fixed points but get
+    # non-integer coefficients and det = k^2 != +/-1; starting points
+    # include xi itself, the pole, and points a few steps before the pole
+    # (a Moebius map is a bijection, so an orbit lands on xi only by
+    # starting there); small bit guards trip the guard, and loose
+    # thresholds and short windows make convergence common
+    rng = random.Random(127)
+    seen = set()
+    for trial in range(200):
+        if trial % 6 == 5:  # affine maps: no pole
+            a = rand_rational(rng, 9)
+            while a == 1 or a == 0:
+                a = rand_rational(rng, 9)
+            b = rand_rational(rng, 9)
+            m, xi = MoebiusMap(a, b, 0, 1), b / (1 - a)
+        else:
+            unit = rand_square_disc_map(rng, height=9)
+            xi = rng.choice(fixed_points(unit).points)
+            k = rand_rational(rng, 9, nonzero=True)
+            m = MoebiusMap(*(k * e for e in unit.coefficients()))
+        v = rng.choice((REAL, Place(2), Place(3), Place(5)))
+        kind = rng.choice(("random", "random", "xi", "pole", "before-pole"))
+        x0 = rand_rational(rng, 12)
+        if kind == "xi":
+            x0 = xi
+        elif kind == "pole" and m.pole is not None:
+            x0 = m.pole
+        elif kind == "before-pole" and m.pole is not None:
+            x0 = m.pole
+            for _ in range(rng.randint(1, 4)):
+                try:
+                    x0 = m.inverse().apply(x0)
+                except PoleInput:
+                    break
+        limits = dict(
+            max_steps=rng.choice((0, 1, 12, 40)),
+            bit_guard=rng.choice((rng.randint(4, 64), 10**6)),
+            threshold=rng.choice((Fraction(1, 2**40), Fraction(1, 2**6), Fraction(1))),
+            window=rng.choice((1, 3, 16)),
+        )
+        record = iterate_at_place(m, x0, xi, v, **limits)
+        assert record == reference_orbit(m, x0, xi, v, **limits)
+        assert all(
+            type(s.x) is Fraction and type(s.dist) is Fraction for s in record.steps
+        )
+        seen.add((record.terminated_by, len(record.steps) > 1))
+    # every way to stop, and both pole hits and convergence at x0 and later
+    assert {stop for stop, _ in seen} == set(Termination)
+    for stop in (Termination.POLE_HIT, Termination.CONVERGED):
+        assert {(stop, False), (stop, True)} <= seen
 
 
 def test_detect_converges_real():
