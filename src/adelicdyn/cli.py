@@ -10,7 +10,6 @@ flags can also be set through ADELICDYN_* environment variables.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import sys
@@ -78,24 +77,6 @@ class RunConfig:
     max_steps: int
     bit_guard: int
     audit_primes: int | None
-
-
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResourceLimitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_RESOURCE)
-        except MathDomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DOMAIN)
-        except AdelicDynError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-
-    return wrapper
 
 
 def emit_json(doc: dict) -> None:
@@ -202,7 +183,6 @@ _CLASSIFY_HEADER = ["xi", "place", "kind", "multiplier_norm"]
 @cli.command()
 @click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
 @click.pass_obj
-@handle_errors
 def classify(cfg: RunConfig, map: str):
     """Fixed points and their stability at every place."""
     m = MoebiusMap.from_string(map)
@@ -228,7 +208,6 @@ def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
 @click.option("--steps", type=COUNT, default=None, help="Defaults to --max-steps.")
 @click.option("--xi", default=None, help="Reference fixed point.")
 @click.pass_obj
-@handle_errors
 def iterate(cfg: RunConfig, map, x0, place, steps, xi):
     """Exact orbit with per-step distance to a fixed point."""
     m = MoebiusMap.from_string(map)
@@ -269,7 +248,6 @@ def iterate(cfg: RunConfig, map, x0, place, steps, xi):
 )
 @click.option("--elsewhere", default=None, help="Shared value at unlisted primes.")
 @click.pass_obj
-@handle_errors
 def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
     """Apply the map componentwise to an adele."""
     m = MoebiusMap.from_string(map)
@@ -313,7 +291,6 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
 @click.option("--place", required=True, help="'real' or a prime.")
 @click.option("--height", type=COUNT, required=True, help="Max |num| and den of x0.")
 @click.pass_obj
-@handle_errors
 def basin(cfg: RunConfig, map, xi, place, height):
     """Verdict for every canonical fraction up to a height bound."""
     m = MoebiusMap.from_string(map)
@@ -343,7 +320,6 @@ def basin(cfg: RunConfig, map, xi, place, height):
 @cli.command("product-formula")
 @click.option("-r", "--rational", required=True, help="Nonzero rational.")
 @click.pass_obj
-@handle_errors
 def product_formula(cfg: RunConfig, rational: str):
     """Factor |r|_v over all places; the product is always 1."""
     report = verify_product_formula(parse_rational(rational), cfg.factor_bound)
@@ -358,7 +334,6 @@ def product_formula(cfg: RunConfig, rational: str):
 @click.option("--sign", type=click.Choice(["+", "-"]), default="+", show_default=True)
 @click.option("--c", "--param", "param", type=int, required=True, help="Free integer.")
 @click.pass_obj
-@handle_errors
 def modular(cfg: RunConfig, family: int, sign: str, param: int):
     """Construct one of the five integer det-1 families and classify it."""
     m = modular_family(family, 1 if sign == "+" else -1, param)
@@ -384,7 +359,6 @@ _CASE_BUILDERS = {
 @click.option("--t", default=None, help="Rational (case B).")
 @click.option("--sign", type=click.Choice(["+", "-"]), default=None, help="C and D.")
 @click.pass_obj
-@handle_errors
 def case(cfg: RunConfig, tag, a, c, t, sign):
     """Construct a map satisfying one family's constraints and classify it."""
     builder, needed = _CASE_BUILDERS[tag]
@@ -415,7 +389,6 @@ def case(cfg: RunConfig, tag, a, c, t, sign):
 @click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
 @click.option("--points", required=True, help="Four rationals 'x1,x2,x3,x4'.")
 @click.pass_obj
-@handle_errors
 def cross_ratio_cmd(cfg: RunConfig, map: str, points: str):
     """Cross-ratio before and after the map; the values must agree."""
     m = MoebiusMap.from_string(map)
@@ -445,7 +418,14 @@ def cross_ratio_cmd(cfg: RunConfig, map: str, points: str):
 
 
 def main():
-    cli(auto_envvar_prefix="ADELICDYN")
+    """Run the CLI; library errors exit 4, 3 or 2 with one line on stderr."""
+    try:
+        cli(auto_envvar_prefix="ADELICDYN")
+    except AdelicDynError as exc:
+        click.echo(f"error: {exc}", err=True)
+        if isinstance(exc, ResourceLimitError):
+            sys.exit(EXIT_RESOURCE)
+        sys.exit(EXIT_DOMAIN if isinstance(exc, MathDomainError) else EXIT_INPUT)
 
 
 if __name__ == "__main__":

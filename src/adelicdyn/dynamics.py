@@ -29,7 +29,7 @@ from .errors import (
     PoleInput,
     ZeroInput,
 )
-from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize
+from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize, strip_prime
 from .moebius import MoebiusMap
 from .padic import REAL, Place, place_norm, valuation
 
@@ -87,7 +87,7 @@ def iterate_at_place(
 
     Poles are recorded as a termination rather than raised, so a sweep over
     many starting points never aborts.  The orbit stops as converged when
-    it lands exactly on xi, or once the distance has strictly decreased for
+    it starts on xi, or once the distance has strictly decreased for
     `window` consecutive steps and sits below `threshold` (everything after
     is fixed-point approach, and sizes would grow without bound).
 
@@ -118,6 +118,7 @@ def iterate_at_place(
             if t == 0:
                 return Fraction(0)
             nu = -xi_den_nu
+            # inline rather than strip_prime: this is the per-step hot path
             while t % p == 0:
                 t //= p
                 nu += 1
@@ -149,7 +150,7 @@ def iterate_at_place(
             dist = distance(num, den)
             decreasing_run = decreasing_run + 1 if dist < steps[-1].dist else 0
             steps.append(Step(n, x, dist))
-            if x == xi or (decreasing_run >= window and dist < threshold):
+            if decreasing_run >= window and dist < threshold:
                 terminated = Termination.CONVERGED
                 break
     return TrajectoryRecord(v, xi, tuple(steps), terminated)
@@ -386,8 +387,7 @@ class AdelePoint:
         rest = self.elsewhere.denominator
         for p in self.finite:
             Place(p)  # validates primality
-            while rest % p == 0:
-                rest //= p
+            rest, _ = strip_prime(rest, p)
         if rest != 1:
             raise NonIntegralTail(
                 f"{self.elsewhere} is not p-integral at the unlisted primes"

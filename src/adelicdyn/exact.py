@@ -6,7 +6,9 @@ rest of the library relies on (positive denominator, coprime parts, zero as
 stdlib does not have: the strict string syntax used by the CLI and all
 serialized output, bounded trial-division factorization that fails loudly
 instead of mis-factoring, and the rational perfect-square test that gates
-rational fixed points.
+rational fixed points.  It is the one home of the integer routines:
+`strip_prime` divides out a prime, `factorize` holds the only trial-division
+loop, and primality is that same trial division run to isqrt(p).
 """
 
 from __future__ import annotations
@@ -86,6 +88,19 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+def strip_prime(n: int, p: int) -> tuple[int, int]:
+    """(n // p**e, e) for the largest e with p**e dividing n.
+
+    Needs n != 0 and p >= 2, or the loop would not end; every caller
+    ensures both.
+    """
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     """Factor n by trial division with primes <= bound.
 
@@ -101,24 +116,20 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     factors: list[tuple[int, int]] = []
-
-    def strip(p: int) -> None:
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-
     # 2 and 3 are always stripped (the bound only limits the wheel); the
     # primality certificate "d*d > m" below needs every candidate below d
     # to have been tried, bound or not
-    strip(2)
-    strip(3)
+    for p in (2, 3):
+        m, e = strip_prime(m, p)
+        if e:
+            factors.append((p, e))
     d, gap = 5, 2
-    while d <= bound and d * d <= m:
-        strip(d)
+    limit = min(bound, math.isqrt(m))  # d <= limit iff d <= bound and d*d <= m
+    while d <= limit:
+        if m % d == 0:
+            m, e = strip_prime(m, d)
+            factors.append((d, e))
+            limit = min(bound, math.isqrt(m))
         d, gap = d + gap, 6 - gap
     if m > 1:
         if d * d > m or m <= bound * bound:
@@ -132,18 +143,12 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    d, gap = 5, 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d, gap = d + gap, 6 - gap
-    return True
+    """Deterministic primality: `factorize` with the bound isqrt(n).
+
+    With that bound the wheel cannot stop on the bound while d*d <= m, so
+    the factorization is always complete and never raises.
+    """
+    return n >= 2 and factorize(n, max(2, math.isqrt(n))).factors == ((n, 1),)
 
 
 @lru_cache(maxsize=None)

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotPrime, ZeroInput
-from .exact import RationalLike, is_prime, parse_integer
+from .exact import RationalLike, is_prime, parse_integer, strip_prime
 
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not a prime, so not a finite place")
 
 
 @dataclass(frozen=True)
@@ -27,8 +32,8 @@ class Place:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not a prime, so not a finite place")
+        if self.p is not None:
+            _check_prime(self.p)
 
     @property
     def is_real(self) -> bool:
@@ -51,28 +56,13 @@ class Place:
 REAL = Place()
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-
-
 def valuation(r: RationalLike, p: int) -> int | float:
     """Exponent of p in r (so r = p^nu * unit); INFINITE for r = 0."""
     _check_prime(p)
     r = Fraction(r)
     if r == 0:
         return INFINITE
-    nu = 0
-    num = r.numerator
-    while num % p == 0:
-        num //= p
-        nu += 1
-    if nu == 0:
-        den = r.denominator
-        while den % p == 0:
-            den //= p
-            nu -= 1
-    return nu
+    return strip_prime(r.numerator, p)[1] - strip_prime(r.denominator, p)[1]
 
 
 def padic_norm(r: RationalLike, p: int) -> Fraction:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from adelicdyn.errors import (
     FactorizationIncomplete,
@@ -23,6 +24,7 @@ from adelicdyn.exact import (
     parse_integer,
     parse_rational,
     primes_upto,
+    strip_prime,
 )
 from helpers import trial_division_oracle
 
@@ -124,6 +126,13 @@ def test_factorize_matches_oracle_on_random_integers():
         assert fact.factors == tuple(trial_division_oracle(n))
         assert fact.value() == n
         assert factorize(-n).value() == -n
+    # +/- p^k * u with u prime to p: strip_prime must return (+/- u, k)
+    for p in (2, 3, 5, 7):
+        for k in range(6):
+            u = p * rng.randint(1, 999) + rng.randint(1, p - 1)
+            for n in (p**k * u, -(p**k) * u):
+                assert strip_prime(n, p) == (n // p**k, k)
+                assert factorize(n).factors == tuple(trial_division_oracle(abs(n)))
 
 
 def test_factorize_primes_strictly_increasing():
@@ -131,6 +140,7 @@ def test_factorize_primes_strictly_increasing():
     for _ in range(100):
         primes = factorize(rng.randint(2, 10**9)).primes()
         assert all(a < b for a, b in zip(primes, primes[1:]))
+        assert all(sympy.isprime(p) for p in primes)
 
 
 def test_factorize_large_prime_cofactor_within_bound_squared():
@@ -166,6 +176,21 @@ def test_is_prime_matches_sieve():
     sieve = set(primes_upto(2000))
     for n in range(2000):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_matches_sympy_beyond_the_sieve():
+    rng = random.Random(19)
+    below = sympy.prevprime(10**6)
+    above = sympy.nextprime(10**6)
+    cases = [0, 1, -1, -2, -7, -561]
+    cases += [561, 41041, 825265]  # Carmichael numbers
+    cases += [below * below, above * above, below * above]
+    cases += [sympy.prevprime(below) * sympy.nextprime(above)]
+    cases += [sympy.nextprime(rng.randint(5 * 10**11, 9 * 10**11)) for _ in range(3)]
+    cases += [sympy.nextprime(10**12)]  # isqrt above DEFAULT_FACTOR_BOUND
+    cases += [2 * sympy.nextprime(10**11 + rng.randint(0, 10**9))]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_perfect_square_examples():
