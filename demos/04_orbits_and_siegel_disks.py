@@ -25,7 +25,10 @@ record = iterate_at_place(m, 1, 0, REAL, max_steps=8)
 print("real orbit from 1 (distance to 0):")
 for step in record.steps:
     print(f"  n={step.n:2d}  x = {str(step.x):>9}  |x|_inf = {step.dist}")
-print(f"verdict: {detect_behavior(record, m, window=8).kind.value}")
+# a verdict reads the last 16 steps, so it needs a longer orbit
+record = iterate_at_place(m, 1, 0, REAL, max_steps=40)
+print(f"orbit stops as {record.terminated_by.value} at step {record.steps[-1].n}")
+print(f"verdict: {detect_behavior(record, m).kind.value}")
 print()
 
 # --- 3-adic Siegel disk ----------------------------------------------------------

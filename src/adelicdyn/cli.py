@@ -129,7 +129,7 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
     "--audit-primes",
     type=COUNT,
     default=None,
-    help="Re-verify cofinite indifference for all primes up to N.",
+    help="Re-verify cofinite indifference for all primes up to N (at most 10^6).",
 )
 @click.pass_context
 def cli(ctx, fmt, factor_bound, max_steps, bit_guard, audit_primes):

@@ -35,8 +35,10 @@ from .padic import REAL, Place, place_norm, valuation
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_BIT_GUARD = 10**6
-DEFAULT_WINDOW = 16
-#: An orbit counts as converged once it is this close (library default).
+#: An orbit has converged once its distance to xi has strictly decreased
+#: for WINDOW consecutive steps and is below CONVERGENCE_THRESHOLD; every
+#: other verdict is read from the last WINDOW steps of the orbit.
+WINDOW = 16
 CONVERGENCE_THRESHOLD = Fraction(1, 2**40)
 
 
@@ -80,16 +82,15 @@ def iterate_at_place(
     v: Place,
     max_steps: int = DEFAULT_MAX_STEPS,
     bit_guard: int = DEFAULT_BIT_GUARD,
-    threshold: Fraction = CONVERGENCE_THRESHOLD,
-    window: int = DEFAULT_WINDOW,
 ) -> TrajectoryRecord:
     """Run x, f(x), f(f(x)), ... recording |x_n - xi|_v at every step.
 
     Poles are recorded as a termination rather than raised, so a sweep over
     many starting points never aborts.  The orbit stops as converged when
     it starts on xi, or once the distance has strictly decreased for
-    `window` consecutive steps and sits below `threshold` (everything after
-    is fixed-point approach, and sizes would grow without bound).
+    WINDOW consecutive steps and sits below CONVERGENCE_THRESHOLD
+    (everything after is fixed-point approach, and sizes would grow without
+    bound).  This is the only convergence test in the library.
 
     The map's denominators are cleared once into an integer matrix
     (a, b, c, d), which acts on the point as the pair num/den: a step is
@@ -130,6 +131,7 @@ def iterate_at_place(
                 norm = norms[nu] = Fraction(p) ** -nu
             return norm
 
+    window, threshold = WINDOW, CONVERGENCE_THRESHOLD
     num, den = x0.numerator, x0.denominator
     steps = [Step(0, x0, distance(num, den))]
     terminated = Termination.MAX_STEPS
@@ -201,64 +203,46 @@ def _locality_radius(m: MoebiusMap, xi: Fraction, v: Place) -> Fraction | None:
     return place_norm(m.c * xi + m.d, v) / place_norm(m.c, v)
 
 
-def _trailing_constant_run(dists: list[Fraction]) -> int:
-    run = 1
-    for i in range(len(dists) - 1, 0, -1):
-        if dists[i - 1] != dists[i]:
-            break
-        run += 1
-    return run
-
-
-def _window_evidence(
-    dists: list[Fraction], window: int, inside: bool | None
-) -> BehaviorEvidence:
-    tail = dists[-(window + 1) :]
-    return BehaviorEvidence(
-        window=window,
-        strictly_decreasing=len(tail) > 1
-        and all(b < a for a, b in zip(tail, tail[1:])),
-        strictly_increasing=len(tail) > 1
-        and all(b > a for a, b in zip(tail, tail[1:])),
-        constant_run=_trailing_constant_run(dists),
-        final_dist=dists[-1],
-        start_inside_radius=inside,
-    )
-
-
-def detect_behavior(
-    t: TrajectoryRecord,
-    m: MoebiusMap,
-    window: int = DEFAULT_WINDOW,
-    threshold: Fraction = CONVERGENCE_THRESHOLD,
-) -> BehaviorVerdict:
+def detect_behavior(t: TrajectoryRecord, m: MoebiusMap) -> BehaviorVerdict:
     """Classify what the recorded orbit did.
 
-    Converged means the orbit stopped as converged (see
-    `iterate_at_place`), or the distances over the last `window` steps
-    strictly decrease and end below `threshold`.  Sphere-invariant means
-    the distance never changed at all.  Escape is only claimed for orbits
-    that started strictly inside the locality radius, where repulsion is
-    actually guaranteed; strict growth from further out stays undetermined,
-    and so does any other orbit with fewer than `window` steps (an early
-    pole hit, the bit guard, or a small step budget).
+    Converged means the orbit stopped as converged in `iterate_at_place`,
+    which tests for convergence after every step it records.  Any other
+    orbit with fewer than WINDOW steps (an early pole hit, the bit guard, or
+    a small step budget) is undetermined.  Otherwise sphere-invariant means
+    the distance never changed at all, and escape is only claimed for
+    orbits that strictly grow over the last WINDOW steps after starting
+    strictly inside the locality radius, where repulsion is actually
+    guaranteed; strict growth from further out stays undetermined.
     """
     dists = t.distances()
     rho = _locality_radius(m, t.xi, t.place)
     inside = None if rho is None else dists[0] < rho
-    used = min(window, len(dists) - 1)
-    evidence = _window_evidence(dists, used, inside)
+    used = min(WINDOW, len(dists) - 1)
+    tail = dists[-(used + 1) :]
+    pairs = list(zip(tail, tail[1:]))
+    constant_run = 1
+    while constant_run < len(dists) and dists[-constant_run - 1] == dists[-1]:
+        constant_run += 1
+    evidence = BehaviorEvidence(
+        window=used,
+        strictly_decreasing=bool(pairs) and all(b < a for a, b in pairs),
+        strictly_increasing=bool(pairs) and all(b > a for a, b in pairs),
+        constant_run=constant_run,
+        final_dist=dists[-1],
+        start_inside_radius=inside,
+    )
     if t.terminated_by is Termination.CONVERGED:
-        return BehaviorVerdict(VerdictKind.CONVERGES, evidence)
-    if used < window:
-        return BehaviorVerdict(VerdictKind.UNDETERMINED, evidence)
-    if len(set(dists)) == 1:
-        return BehaviorVerdict(VerdictKind.SPHERE_INVARIANT, evidence)
-    if evidence.strictly_decreasing and dists[-1] < threshold:
-        return BehaviorVerdict(VerdictKind.CONVERGES, evidence)
-    if evidence.strictly_increasing and inside:
-        return BehaviorVerdict(VerdictKind.ESCAPES, evidence)
-    return BehaviorVerdict(VerdictKind.UNDETERMINED, evidence)
+        kind = VerdictKind.CONVERGES
+    elif used < WINDOW:
+        kind = VerdictKind.UNDETERMINED
+    elif constant_run == len(dists):
+        kind = VerdictKind.SPHERE_INVARIANT
+    elif evidence.strictly_increasing and inside:
+        kind = VerdictKind.ESCAPES
+    else:
+        kind = VerdictKind.UNDETERMINED
+    return BehaviorVerdict(kind, evidence)
 
 
 def local_multiplier_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
@@ -312,15 +296,14 @@ def basin_sample(
     v: Place,
     height: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    window: int = DEFAULT_WINDOW,
     bit_guard: int = DEFAULT_BIT_GUARD,
 ) -> list[BasinPoint]:
     """Verdict for every canonical fraction num/den with |num|, den <= height.
 
     Enumeration is by denominator then numerator, each rational exactly
-    once, the pole skipped; a trajectory too short for the window (early
-    pole hit or overflow) gets the undetermined verdict of
-    `detect_behavior` rather than raising.
+    once, the pole skipped.  Each orbit comes from `iterate_at_place` and
+    its verdict from `detect_behavior`, so a trajectory shorter than WINDOW
+    steps (early pole hit or overflow) is undetermined rather than raising.
     """
     xi = Fraction(xi)
     pole = m.pole
@@ -332,10 +315,8 @@ def basin_sample(
             x0 = Fraction(num, den)
             if pole is not None and x0 == pole:
                 continue
-            record = iterate_at_place(
-                m, x0, xi, v, max_steps, bit_guard, window=window
-            )
-            verdict = detect_behavior(record, m, window)
+            record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+            verdict = detect_behavior(record, m)
             out.append(BasinPoint(x0, verdict, len(record.steps) - 1))
     return out
 

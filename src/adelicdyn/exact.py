@@ -23,6 +23,7 @@ from .errors import (
     FactorizationIncomplete,
     InputError,
     ParseError,
+    ResourceLimitError,
     ZeroDenominator,
     ZeroInput,
 )
@@ -151,9 +152,20 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n, max(2, math.isqrt(n))).factors == ((n, 1),)
 
 
+#: The sieve refuses limits above this; it allocates limit + 1 bytes.
+MAX_PRIME_SCAN = 10**6
+
+
 @lru_cache(maxsize=None)
 def primes_upto(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, ascending (sieve of Eratosthenes)."""
+    """All primes <= limit, ascending (sieve of Eratosthenes).
+
+    Raises ResourceLimitError for a limit above MAX_PRIME_SCAN.
+    """
+    if limit > MAX_PRIME_SCAN:
+        raise ResourceLimitError(
+            f"prime scan limit {limit} is above the cap {MAX_PRIME_SCAN}"
+        )
     if limit < 2:
         return ()
     sieve = bytearray([1]) * (limit + 1)

@@ -28,8 +28,10 @@ from adelicdyn.errors import (
     NotAFixedPoint,
     NotUnimodular,
     PoleInput,
+    ResourceLimitError,
     ZeroInput,
 )
+from adelicdyn.exact import MAX_PRIME_SCAN
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL
 from helpers import rand_nonzero, rand_square_disc_map
@@ -236,6 +238,11 @@ def test_audit_runs_clean_on_fixtures():
         for audit in audit_cofinite_indifference(m, scan_limit=200):
             assert audit.ok
             assert audit.offenders == ()
+
+
+def test_audit_refuses_a_scan_above_the_cap():
+    with pytest.raises(ResourceLimitError):
+        audit_cofinite_indifference(CASE_A_MAP, scan_limit=MAX_PRIME_SCAN + 1)
 
 
 def test_report_at_materializes_default():

@@ -62,6 +62,16 @@ def test_exit_code_resource_guard():
     assert b"cofactor" in err
 
 
+def test_audit_above_the_prime_scan_cap_is_a_resource_error():
+    code, out, err = run_cli(
+        ["--audit-primes", "1000001", "classify", "--map", "1/2,0,1,2"]
+    )
+    assert code == 4
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_case_command_validation():
     assert run_cli(["case", "--tag", "A", "--a", "1/2"])[0] == 2  # missing --c
     assert run_cli(["case", "--tag", "B", "--t", "1"])[0] == 3  # collapses to c = 0

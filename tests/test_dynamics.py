@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from adelicdyn import dynamics
 from adelicdyn.dynamics import (
     AdelePoint,
+    BehaviorEvidence,
+    BehaviorVerdict,
     Step,
     Termination,
     TrajectoryRecord,
@@ -38,6 +43,7 @@ from helpers import rand_rational, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
 CASE_C_MAP = MoebiusMap(3, 2, -2, -1)
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
 def recurrence_oracle(m, x0, n):
@@ -158,49 +164,61 @@ def reference_orbit(m, x0, xi, v, max_steps, bit_guard, threshold, window):
     return record(Termination.MAX_STEPS)
 
 
-def test_orbit_matches_the_definitions():
-    # maps scaled by a random rational k keep their fixed points but get
-    # non-integer coefficients and det = k^2 != +/-1; starting points
-    # include xi itself, the pole, and points a few steps before the pole
-    # (a Moebius map is a bijection, so an orbit lands on xi only by
-    # starting there); small bit guards trip the guard, and loose
-    # thresholds and short windows make convergence common
+def random_orbit_start(rng, trial):
+    """A map, one of its fixed points xi, a place and a starting point.
+
+    Maps scaled by a random rational k keep their fixed points but get
+    non-integer coefficients and det = k^2 != +/-1; every sixth trial is an
+    affine map (no pole).  Starting points include xi itself, the pole, and
+    points a few steps before the pole (a Moebius map is a bijection, so an
+    orbit lands on xi only by starting there).
+    """
+    if trial % 6 == 5:
+        a = rand_rational(rng, 9)
+        while a == 1 or a == 0:
+            a = rand_rational(rng, 9)
+        b = rand_rational(rng, 9)
+        m, xi = MoebiusMap(a, b, 0, 1), b / (1 - a)
+    else:
+        unit = rand_square_disc_map(rng, height=9)
+        xi = rng.choice(fixed_points(unit).points)
+        k = rand_rational(rng, 9, nonzero=True)
+        m = MoebiusMap(*(k * e for e in unit.coefficients()))
+    v = rng.choice((REAL, Place(2), Place(3), Place(5)))
+    kind = rng.choice(("random", "random", "xi", "pole", "before-pole"))
+    x0 = rand_rational(rng, 12)
+    if kind == "xi":
+        x0 = xi
+    elif kind == "pole" and m.pole is not None:
+        x0 = m.pole
+    elif kind == "before-pole" and m.pole is not None:
+        x0 = m.pole
+        for _ in range(rng.randint(1, 4)):
+            try:
+                x0 = m.inverse().apply(x0)
+            except PoleInput:
+                break
+    return m, xi, v, x0
+
+
+def test_orbit_matches_the_definitions(monkeypatch):
+    # small bit guards trip the guard, and loose thresholds and short
+    # windows (patched into the module constants the kernel reads) make
+    # convergence common
     rng = random.Random(127)
     seen = set()
     for trial in range(200):
-        if trial % 6 == 5:  # affine maps: no pole
-            a = rand_rational(rng, 9)
-            while a == 1 or a == 0:
-                a = rand_rational(rng, 9)
-            b = rand_rational(rng, 9)
-            m, xi = MoebiusMap(a, b, 0, 1), b / (1 - a)
-        else:
-            unit = rand_square_disc_map(rng, height=9)
-            xi = rng.choice(fixed_points(unit).points)
-            k = rand_rational(rng, 9, nonzero=True)
-            m = MoebiusMap(*(k * e for e in unit.coefficients()))
-        v = rng.choice((REAL, Place(2), Place(3), Place(5)))
-        kind = rng.choice(("random", "random", "xi", "pole", "before-pole"))
-        x0 = rand_rational(rng, 12)
-        if kind == "xi":
-            x0 = xi
-        elif kind == "pole" and m.pole is not None:
-            x0 = m.pole
-        elif kind == "before-pole" and m.pole is not None:
-            x0 = m.pole
-            for _ in range(rng.randint(1, 4)):
-                try:
-                    x0 = m.inverse().apply(x0)
-                except PoleInput:
-                    break
-        limits = dict(
-            max_steps=rng.choice((0, 1, 12, 40)),
-            bit_guard=rng.choice((rng.randint(4, 64), 10**6)),
-            threshold=rng.choice((Fraction(1, 2**40), Fraction(1, 2**6), Fraction(1))),
-            window=rng.choice((1, 3, 16)),
+        m, xi, v, x0 = random_orbit_start(rng, trial)
+        max_steps = rng.choice((0, 1, 12, 40))
+        bit_guard = rng.choice((rng.randint(4, 64), 10**6))
+        threshold = rng.choice((Fraction(1, 2**40), Fraction(1, 2**6), Fraction(1)))
+        window = rng.choice((1, 3, 16))
+        monkeypatch.setattr(dynamics, "WINDOW", window)
+        monkeypatch.setattr(dynamics, "CONVERGENCE_THRESHOLD", threshold)
+        record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+        assert record == reference_orbit(
+            m, x0, xi, v, max_steps, bit_guard, threshold, window
         )
-        record = iterate_at_place(m, x0, xi, v, **limits)
-        assert record == reference_orbit(m, x0, xi, v, **limits)
         assert all(
             type(s.x) is Fraction and type(s.dist) is Fraction for s in record.steps
         )
@@ -253,9 +271,103 @@ def test_detect_undetermined_outside_radius():
 def test_detect_too_short():
     # a constant-distance orbit, but too short for the window to say so
     record = iterate_at_place(CASE_A_MAP, 3, 0, Place(3), max_steps=5)
-    verdict = detect_behavior(record, CASE_A_MAP, window=16)
+    verdict = detect_behavior(record, CASE_A_MAP)
     assert verdict.kind is VerdictKind.UNDETERMINED
     assert verdict.evidence.window == 5
+
+
+def reference_verdict(t, m, window=16, threshold=Fraction(1, 2**40)):
+    """The verdict rules with two tests the library drops as redundant: a
+    second convergence test on the finished distances, and sphere
+    invariance as "one distinct distance"."""
+    dists = t.distances()
+    rho = None
+    if m.c != 0:
+        rho = place_norm(m.c * t.xi + m.d, t.place) / place_norm(m.c, t.place)
+    inside = None if rho is None else dists[0] < rho
+    used = min(window, len(dists) - 1)
+    tail = dists[-(used + 1) :]
+    run = 1
+    for i in range(len(dists) - 1, 0, -1):
+        if dists[i - 1] != dists[i]:
+            break
+        run += 1
+    evidence = BehaviorEvidence(
+        window=used,
+        strictly_decreasing=len(tail) > 1
+        and all(b < a for a, b in zip(tail, tail[1:])),
+        strictly_increasing=len(tail) > 1
+        and all(b > a for a, b in zip(tail, tail[1:])),
+        constant_run=run,
+        final_dist=dists[-1],
+        start_inside_radius=inside,
+    )
+    if t.terminated_by is Termination.CONVERGED:
+        return BehaviorVerdict(VerdictKind.CONVERGES, evidence)
+    if used < window:
+        return BehaviorVerdict(VerdictKind.UNDETERMINED, evidence)
+    if len(set(dists)) == 1:
+        return BehaviorVerdict(VerdictKind.SPHERE_INVARIANT, evidence)
+    if evidence.strictly_decreasing and dists[-1] < threshold:
+        return BehaviorVerdict(VerdictKind.CONVERGES, evidence)
+    if evidence.strictly_increasing and inside:
+        return BehaviorVerdict(VerdictKind.ESCAPES, evidence)
+    return BehaviorVerdict(VerdictKind.UNDETERMINED, evidence)
+
+
+def test_verdicts_match_the_rules_with_a_second_convergence_test():
+    # the orbit stops as converged as soon as the distances meet the
+    # window-and-threshold test, so the reference's second test on the
+    # finished distances never decides a verdict; budgets sit around the
+    # 16-step window, small bit guards stop orbits early, and the 2-adic
+    # repeller from 2^40 escapes (rare in a random sample)
+    rng = random.Random(131)
+    cases = [(CASE_A_MAP, Fraction(0), Place(2), Fraction(2**40), 17, 10**6)]
+    for trial in range(300):
+        m, xi, v, x0 = random_orbit_start(rng, trial)
+        max_steps = rng.choice((0, 15, 16, 17, 200))
+        bit_guard = rng.choice((rng.randint(4, 64), 10**6))
+        cases.append((m, xi, v, x0, max_steps, bit_guard))
+    kinds, stops = set(), set()
+    for m, xi, v, x0, max_steps, bit_guard in cases:
+        record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+        verdict = detect_behavior(record, m)
+        assert verdict == reference_verdict(record, m)
+        kinds.add(verdict.kind)
+        stops.add(record.terminated_by)
+    assert kinds == set(VerdictKind)
+    assert stops == set(Termination)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    lam=SMALL_RATIONALS.filter(lambda r: r not in (0, 1)),
+    xi=SMALL_RATIONALS,
+    other=SMALL_RATIONALS,
+    x0=SMALL_RATIONALS,
+    v=st.sampled_from((REAL, Place(2), Place(3), Place(5))),
+    max_steps=st.integers(0, 200),
+    bit_guard=st.sampled_from((30, 10**6)),
+)
+def test_no_verdict_without_supporting_evidence(
+    lam, xi, other, x0, v, max_steps, bit_guard
+):
+    # the map with fixed points xi != other, conjugate to x -> lam x
+    assume(xi != other)
+    m = MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
+    record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+    verdict = detect_behavior(record, m)
+    evidence = verdict.evidence
+    if verdict.kind is VerdictKind.SPHERE_INVARIANT:
+        assert evidence.window == 16
+        assert evidence.constant_run == len(record.steps)
+    elif verdict.kind is VerdictKind.ESCAPES:
+        assert evidence.strictly_increasing
+        assert evidence.start_inside_radius is True
+    elif verdict.kind is VerdictKind.CONVERGES:
+        assert evidence.final_dist == 0 or (
+            evidence.strictly_decreasing and evidence.final_dist < Fraction(1, 2**40)
+        )
 
 
 def test_short_orbit_verdict_is_the_same_in_a_basin_sweep():

@@ -11,10 +11,12 @@ from adelicdyn.errors import (
     FactorizationIncomplete,
     InputError,
     ParseError,
+    ResourceLimitError,
     ZeroDenominator,
     ZeroInput,
 )
 from adelicdyn.exact import (
+    MAX_PRIME_SCAN,
     Factorization,
     factorize,
     format_rational,
@@ -176,6 +178,12 @@ def test_is_prime_matches_sieve():
     sieve = set(primes_upto(2000))
     for n in range(2000):
         assert is_prime(n) == (n in sieve)
+
+
+def test_prime_scan_is_capped():
+    assert primes_upto(MAX_PRIME_SCAN)[-1] == sympy.prevprime(MAX_PRIME_SCAN)
+    with pytest.raises(ResourceLimitError, match=r"1000001 .* 1000000"):
+        primes_upto(MAX_PRIME_SCAN + 1)
 
 
 def test_is_prime_matches_sympy_beyond_the_sieve():
