@@ -2,9 +2,10 @@
 
 The multiplier f'(xi) is an exact rational, so |f'(xi)|_v differs from 1
 only at the real place and at the finitely many primes dividing its
-numerator or denominator.  A fixed point is therefore indifferent at all
-but a finite, computable set of places; the report types here carry that
-cofinite structure explicitly instead of enumerating primes.
+numerator or denominator: its support, which only `padic.norm_support`
+computes.  A fixed point is therefore indifferent at all but a finite,
+computable set of places; the report types here carry that cofinite
+structure explicitly instead of enumerating primes.
 
 Six closed-form parameter families (tags A..F) each force the fixed points
 to be rational; for a map satisfying a family's constraints,
@@ -27,12 +28,9 @@ from .errors import (
     NotUnimodular,
     ZeroInput,
 )
-from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize, primes_upto
+from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto
 from .moebius import MoebiusMap, fixed_points
-from .padic import REAL, Place, padic_norm, place_norm
-
-#: Primes scanned by the cofinite-indifference audit unless told otherwise.
-DEFAULT_PRIME_SCAN = 1000
+from .padic import Place, norm_support, padic_norm, place_norm
 
 
 class Stability(str, Enum):
@@ -94,13 +92,13 @@ class ExceptionalSets:
 def exceptional_primes(
     q: RationalLike, bound: int = DEFAULT_FACTOR_BOUND
 ) -> ExceptionalSets:
+    """The primes of q's `norm_support`, split by |q|_p < 1 and |q|_p > 1."""
     q = Fraction(q)
-    if q == 0:
-        raise ZeroInput("|0|_p = 0 at every prime; no finite exceptional sets")
+    finite = norm_support(q, bound)[1:]
     return ExceptionalSets(
         generator=q,
-        numerator_primes=frozenset(factorize(q.numerator, bound).primes()),
-        denominator_primes=frozenset(factorize(q.denominator, bound).primes()),
+        numerator_primes=frozenset(v.p for v, norm in finite if norm < 1),
+        denominator_primes=frozenset(v.p for v, norm in finite if norm > 1),
     )
 
 
@@ -136,23 +134,16 @@ class AdelicFixedPointReport:
 
 
 def _place_table(
-    xi: Fraction, q: Fraction, exponent: int, sets: ExceptionalSets
+    xi: Fraction, q: Fraction, exponent: int, bound: int
 ) -> AdelicFixedPointReport:
     """Report for xi whose multiplier norm at every place v is |q|_v ** exponent.
 
-    `sets` are the exceptional primes of q; at every other prime the norm
-    is 1 and the default (indifferent) applies.
+    One entry per place of q's support; at every other prime the norm is 1
+    and the default (indifferent) applies.
     """
-
-    def entry(v: Place) -> PlaceClassification:
-        norm = place_norm(q, v) ** exponent
-        return PlaceClassification(v, stability_from_norm(norm), norm)
-
-    return AdelicFixedPointReport(
-        xi=xi,
-        real=entry(REAL),
-        finite_exceptions=tuple(entry(Place(p)) for p in sets.all_primes()),
-    )
+    norms = [(v, norm**exponent) for v, norm in norm_support(q, bound)]
+    real, *rest = (PlaceClassification(v, stability_from_norm(n), n) for v, n in norms)
+    return AdelicFixedPointReport(xi=xi, real=real, finite_exceptions=tuple(rest))
 
 
 def adelic_report(
@@ -164,9 +155,8 @@ def adelic_report(
     reports share their exceptional primes with kinds swapped.
     """
     return [
-        _place_table(xi, multiplier, 1, exceptional_primes(multiplier, bound))
+        _place_table(xi, m.derivative_at(xi), 1, bound)
         for xi in fixed_points(m).points
-        for multiplier in [m.derivative_at(xi)]
     ]
 
 
@@ -233,10 +223,9 @@ def case_predicted_report(
             CaseTag.E: (a - 1) / c,
             CaseTag.F: (a + 1) / c,
         }[tag]
-    sets = exceptional_primes(q, bound)
-    reports = [_place_table(xi_small, q, 2, sets)]
+    reports = [_place_table(xi_small, q, 2, bound)]
     if xi_large != xi_small:  # the two points fuse exactly when q = +/-1
-        reports.append(_place_table(xi_large, q, -2, sets))
+        reports.append(_place_table(xi_large, q, -2, bound))
     return sorted(reports, key=lambda r: r.xi)
 
 
@@ -329,19 +318,18 @@ class IndifferenceAudit:
 
 def audit_cofinite_indifference(
     m: MoebiusMap,
-    scan_limit: int = DEFAULT_PRIME_SCAN,
+    scan_limit: int,
     bound: int = DEFAULT_FACTOR_BOUND,
 ) -> list[IndifferenceAudit]:
     """Verify indifference at every prime <= scan_limit off the exceptional set.
 
-    The multiplier is evaluated once per fixed point; each scanned prime is
-    then a pure norm comparison, matching what classify_at_place would do.
+    The exceptional set is the multiplier's `norm_support`; each scanned
+    prime is checked on its own, as classify_at_place would do.
     """
     audits = []
     for xi in fixed_points(m).points:
         multiplier = m.derivative_at(xi)
-        sets = exceptional_primes(multiplier, bound)
-        exceptional = set(sets.all_primes())
+        exceptional = tuple(v.p for v, _ in norm_support(multiplier, bound)[1:])
         offenders = []
         for p in primes_upto(scan_limit):
             indifferent = padic_norm(multiplier, p) == 1
@@ -351,7 +339,7 @@ def audit_cofinite_indifference(
             IndifferenceAudit(
                 xi=xi,
                 scan_limit=scan_limit,
-                exceptional=tuple(sorted(exceptional)),
+                exceptional=exceptional,
                 offenders=tuple(offenders),
             )
         )

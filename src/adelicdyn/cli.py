@@ -64,8 +64,30 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
+
+class _StrictInt:
+    """Reads an integer flag with `parse_integer` (ASCII digits, '-' only
+    where the range admits negatives); click's int type then checks it."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            signed = getattr(self, "min", None) is None or self.min < 0
+            what = "an integer" if signed else "a nonnegative integer"
+            try:
+                value = parse_integer(value, what, signed)
+            except (ParseError, ValueError) as exc:  # ValueError: too many digits
+                self.fail(str(exc), param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class StrictInt(_StrictInt, click.types.IntParamType): ...
+
+
+class StrictIntRange(_StrictInt, click.IntRange): ...
+
+
 #: Counts and limits; a negative value is bad input (exit 2).
-COUNT = click.IntRange(min=0)
+COUNT = StrictIntRange(min=0)
 
 
 @dataclass
@@ -121,7 +143,7 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
     help="Output format on stdout.",
 )
 @click.option(
-    "--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND, show_default=True
+    "--factor-bound", type=StrictInt(), default=DEFAULT_FACTOR_BOUND, show_default=True
 )
 @click.option("--max-steps", type=COUNT, default=DEFAULT_MAX_STEPS, show_default=True)
 @click.option("--bit-guard", type=COUNT, default=DEFAULT_BIT_GUARD, show_default=True)
@@ -330,9 +352,11 @@ def product_formula(cfg: RunConfig, rational: str):
 
 
 @cli.command()
-@click.option("--family", type=click.IntRange(1, 5), required=True)
+@click.option("--family", type=StrictIntRange(1, 5), required=True)
 @click.option("--sign", type=click.Choice(["+", "-"]), default="+", show_default=True)
-@click.option("--c", "--param", "param", type=int, required=True, help="Free integer.")
+@click.option(
+    "--c", "--param", "param", type=StrictInt(), required=True, help="Free integer."
+)
 @click.pass_obj
 def modular(cfg: RunConfig, family: int, sign: str, param: int):
     """Construct one of the five integer det-1 families and classify it."""

@@ -12,7 +12,6 @@ point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize, strip_prime
 from .moebius import MoebiusMap
-from .padic import REAL, Place, place_norm, valuation
+from .padic import REAL, Place, norm_support, place_norm, valuation
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_BIT_GUARD = 10**6
@@ -66,13 +65,6 @@ class TrajectoryRecord:
 
     def distances(self) -> list[Fraction]:
         return [s.dist for s in self.steps]
-
-    def to_json_lines(self) -> str:
-        """One {n, x, dist} object per line."""
-        return "\n".join(
-            json.dumps({"n": s.n, "x": str(s.x), "dist": str(s.dist)})
-            for s in self.steps
-        )
 
 
 def iterate_at_place(
@@ -455,14 +447,9 @@ def verify_product_formula(
     r: RationalLike, bound: int = DEFAULT_FACTOR_BOUND
 ) -> ProductFormulaReport:
     """Evidence that |r|_inf * prod_p |r|_p = 1: the factor at every place
-    where the norm differs from 1, and their exact product."""
+    of r's support (`norm_support`), and their exact product."""
     r = Fraction(r)
-    if r == 0:
-        raise ZeroInput("the product formula needs r != 0")
-    primes = factorize(r.numerator, bound).primes()
-    primes += factorize(r.denominator, bound).primes()
-    places = (REAL, *(Place(p) for p in sorted(primes)))
-    factors = tuple((v, place_norm(r, v)) for v in places)
+    factors = norm_support(r, bound)
     product = math.prod(norm for _, norm in factors)
     return ProductFormulaReport(r=r, factors=factors, product=product)
 

@@ -67,11 +67,6 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"{text!r} is not of the form 'n' or 'n/m'") from None
 
 
-def format_rational(r: RationalLike) -> str:
-    """Canonical string: 'num/den', integers shortened to 'num'."""
-    return str(Fraction(r))
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Signed prime factorization; primes strictly increasing."""

@@ -3,7 +3,8 @@
 A place is either the real absolute value or the p-adic norm of a prime p;
 every norm computed here is an exact Fraction (a power of p, or |r|), never
 a float, so all ultrametric comparisons in the rest of the library are
-exact.  Digit expansions follow the least-significant-first convention
+exact.  `norm_support` alone finds the finitely many places where a
+rational's norm is not 1.  Digit expansions are least significant first:
 x = p^nu (x_0 + x_1 p + x_2 p^2 + ...).
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotPrime, ZeroInput
-from .exact import RationalLike, is_prime, parse_integer, strip_prime
+from .exact import RationalLike, factorize, is_prime, parse_integer, strip_prime
 
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
@@ -38,10 +39,6 @@ class Place:
     @property
     def is_real(self) -> bool:
         return self.p is None
-
-    def sort_key(self) -> tuple[int, int]:
-        """Real place first, then finite places by prime."""
-        return (0, 0) if self.p is None else (1, self.p)
 
     def __str__(self) -> str:
         return "real" if self.p is None else str(self.p)
@@ -80,6 +77,17 @@ def place_norm(r: RationalLike, v: Place) -> Fraction:
     return padic_norm(r, v.p)
 
 
+def norm_support(r: RationalLike, bound: int) -> tuple[tuple[Place, Fraction], ...]:
+    """(v, |r|_v) at the real place, then at each prime of r's numerator or
+    denominator, ascending; |r|_p = 1 at every other prime.  Raises
+    ZeroInput for r = 0 and FactorizationIncomplete beyond `bound`."""
+    r = Fraction(r)
+    primes = factorize(r.numerator, bound).primes()  # ZeroInput for r = 0
+    primes += factorize(r.denominator, bound).primes()
+    places = (REAL, *(Place(p) for p in sorted(primes)))
+    return tuple((v, place_norm(r, v)) for v in places)
+
+
 def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:
     """Ultrametric distance |x - y|_p."""
     return padic_norm(Fraction(x) - Fraction(y), p)
@@ -97,10 +105,6 @@ class PAdicExpansion:
     p: int
     nu: int
     digits: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
 
     def partial_sum(self) -> Fraction:
         total = sum(x * self.p**k for k, x in enumerate(self.digits))

@@ -189,11 +189,28 @@ def test_iterate_short_orbit_is_undetermined():
         ["--audit-primes", "-1", "classify", "--map", "1/2,0,1,2"],
         ["--max-steps", "-1", *ITERATE_SPHERE],
         ["--bit-guard", "-1", *ITERATE_SPHERE],
+        ["modular", "--family", "1", "--c", "\u0663"],
+        ["modular", "--family", "\u0661", "--c", "1"],
+        ["--max-steps", "\u0661\u0660", *ITERATE_SPHERE],
+        [*ITERATE_SPHERE, "--steps", "1_6"],
+        [
+            "basin", "--map", "1/2,0,1,2", "--xi", "0", "--place", "2",
+            "--height", "\u0662",
+        ],
+        ["--audit-primes", "\u0665\u0660", "classify", "--map", "1/2,0,1,2"],
+        ["--audit-primes", " 50", "classify", "--map", "1/2,0,1,2"],
+        ["--factor-bound", "1_000_000", "product-formula", "-r", "6"],
+        ["--bit-guard", "+50", *ITERATE_SPHERE],
+        [*ITERATE_SPHERE, "--steps", "9" * 5000],
     ],
     ids=[
         "superscript-place", "arabic-indic-x0", "superscript-at",
         "negative-steps", "negative-height", "negative-audit-primes",
         "negative-max-steps", "negative-bit-guard",
+        "arabic-indic-param", "arabic-indic-family", "arabic-indic-max-steps",
+        "underscore-steps", "arabic-indic-height", "arabic-indic-audit-primes",
+        "spaced-audit-primes", "underscore-factor-bound", "plus-bit-guard",
+        "5000-digit-steps",
     ],
 )
 def test_bad_numbers_are_bad_input(args):

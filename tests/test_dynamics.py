@@ -1,6 +1,5 @@
 """Exact orbits, behavior verdicts, Siegel disks, adeles, product formula."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -585,11 +584,3 @@ def test_product_formula_breakdown():
     trivial = verify_product_formula(1)
     assert trivial.factors == ((REAL, Fraction(1)),)
     assert trivial.product == 1
-
-
-def test_trajectory_json_lines():
-    record = iterate_at_place(CASE_A_MAP, 3, 0, Place(3), max_steps=2)
-    lines = record.to_json_lines().splitlines()
-    assert len(lines) == 3
-    first = json.loads(lines[0])
-    assert first == {"n": 0, "x": "3", "dist": "1/3"}

@@ -1,17 +1,28 @@
 """Valuations, exact norms, expansions and ultrametric balls."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from adelicdyn.errors import InputError, NotPrime, ParseError, ZeroInput
+from adelicdyn.dynamics import verify_product_formula
+from adelicdyn.errors import (
+    FactorizationIncomplete,
+    InputError,
+    NotPrime,
+    ParseError,
+    ZeroInput,
+)
+from adelicdyn.exact import DEFAULT_FACTOR_BOUND as BOUND
 from adelicdyn.padic import (
     INFINITE,
     PAdicExpansion,
     Place,
     REAL,
     ball_contains,
+    norm_support,
     padic_distance,
     padic_expansion,
     padic_norm,
@@ -43,9 +54,42 @@ def test_place_rejects_non_primes(bad):
         Place(bad)
 
 
-def test_place_sort_key_puts_real_first():
-    places = [Place(5), REAL, Place(2)]
-    assert sorted(places, key=Place.sort_key) == [REAL, Place(2), Place(5)]
+def test_norm_support_puts_real_first():
+    support = norm_support(Fraction(-10, 21), BOUND)
+    assert [v for v, _ in support] == [REAL, Place(2), Place(3), Place(5), Place(7)]
+    assert [norm for _, norm in support] == [
+        Fraction(10, 21), Fraction(1, 2), Fraction(3), Fraction(1, 5), Fraction(7)
+    ]
+
+
+def test_norm_support_matches_sympy():
+    rng = random.Random(61)
+
+    def part() -> int:
+        smooth = math.prod(p ** rng.randint(0, 3) for p in (2, 3, 5, 7))
+        big = sympy.prevprime(rng.randint(3, 10 ** rng.randint(1, 11)))
+        return smooth * (big if rng.random() < 0.6 else 1)
+
+    cases = [Fraction(1), Fraction(-1)]
+    cases += [Fraction(rng.choice((1, -1)) * part(), part()) for _ in range(40)]
+    for r in cases:
+        num = sympy.factorint(abs(r.numerator))
+        den = sympy.factorint(r.denominator)
+        expected = ((REAL, abs(r)),) + tuple(
+            (Place(p), Fraction(p) ** (den.get(p, 0) - num.get(p, 0)))
+            for p in sorted(num.keys() | den.keys())
+        )
+        support = norm_support(r, BOUND)
+        assert support == expected, r
+        assert math.prod(norm for _, norm in support) == 1
+        assert verify_product_formula(r, BOUND).factors == support
+    primes = [v.p for r in cases for v, _ in norm_support(r, BOUND)[1:]]
+    assert len(primes) > 2 * len(cases) and max(primes) > 10**10
+    with pytest.raises(ZeroInput):
+        norm_support(0, BOUND)
+    # 1009 * 1013 > 1000^2: a composite cofactor the bound cannot certify
+    with pytest.raises(FactorizationIncomplete):
+        norm_support(Fraction(3, 1009 * 1013), bound=1000)
 
 
 def test_valuation_examples():
