@@ -134,14 +134,14 @@ class AdelicFixedPointReport:
 
 
 def _place_table(
-    xi: Fraction, q: Fraction, exponent: int, bound: int
+    xi: Fraction, support: tuple[tuple[Place, Fraction], ...], exponent: int
 ) -> AdelicFixedPointReport:
     """Report for xi whose multiplier norm at every place v is |q|_v ** exponent.
 
-    One entry per place of q's support; at every other prime the norm is 1
-    and the default (indifferent) applies.
+    `support` is q's `norm_support`: one entry per place of it; at every
+    other prime the norm is 1 and the default (indifferent) applies.
     """
-    norms = [(v, norm**exponent) for v, norm in norm_support(q, bound)]
+    norms = [(v, norm**exponent) for v, norm in support]
     real, *rest = (PlaceClassification(v, stability_from_norm(n), n) for v, n in norms)
     return AdelicFixedPointReport(xi=xi, real=real, finite_exceptions=tuple(rest))
 
@@ -155,7 +155,7 @@ def adelic_report(
     reports share their exceptional primes with kinds swapped.
     """
     return [
-        _place_table(xi, m.derivative_at(xi), 1, bound)
+        _place_table(xi, norm_support(m.derivative_at(xi), bound), 1)
         for xi in fixed_points(m).points
     ]
 
@@ -223,9 +223,10 @@ def case_predicted_report(
             CaseTag.E: (a - 1) / c,
             CaseTag.F: (a + 1) / c,
         }[tag]
-    reports = [_place_table(xi_small, q, 2, bound)]
+    support = norm_support(q, bound)
+    reports = [_place_table(xi_small, support, 2)]
     if xi_large != xi_small:  # the two points fuse exactly when q = +/-1
-        reports.append(_place_table(xi_large, q, -2, bound))
+        reports.append(_place_table(xi_large, support, -2))
     return sorted(reports, key=lambda r: r.xi)
 
 

@@ -3,8 +3,11 @@
 Every subcommand writes one machine-readable document to stdout (a single
 JSON document, CSV rows, or an aligned table) and keeps diagnostics on
 stderr.  Exit codes are a stable contract: 0 success, 2 bad input, 3
-mathematics outside the rational scope, 4 a tripped resource guard.  All
-flags can also be set through ADELICDYN_* environment variables.
+mathematics outside the rational scope, 4 a tripped resource guard.  Every
+failure, click's usage errors included, leaves through `main()` as one
+`error:` line on stderr; an integer with more digits than the interpreter
+converts is bad input.  All flags can also be set through ADELICDYN_*
+environment variables.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .errors import (
 )
 from .exact import (
     DEFAULT_FACTOR_BOUND,
+    MAX_PRIME_SCAN,
     is_perfect_square,
     parse_integer,
     parse_rational,
@@ -65,29 +69,26 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
 
-class _StrictInt:
-    """Reads an integer flag with `parse_integer` (ASCII digits, '-' only
-    where the range admits negatives); click's int type then checks it."""
+class Integer(click.ParamType):
+    """An integer flag, read by `parse_integer` alone; its ParseError names
+    the flag.  Other ranges are checked by the code that takes the value."""
+
+    name = "integer"
+
+    def __init__(self, signed: bool):
+        self.signed = signed
 
     def convert(self, value, param, ctx):
-        if isinstance(value, str):
-            signed = getattr(self, "min", None) is None or self.min < 0
-            what = "an integer" if signed else "a nonnegative integer"
-            try:
-                value = parse_integer(value, what, signed)
-            except (ParseError, ValueError) as exc:  # ValueError: too many digits
-                self.fail(str(exc), param, ctx)
-        return super().convert(value, param, ctx)
+        if isinstance(value, int):  # a default
+            return value
+        what = "an integer" if self.signed else "a nonnegative integer"
+        what += f" for {param.get_error_hint(ctx)}"
+        return parse_integer(value, what, self.signed)
 
 
-class StrictInt(_StrictInt, click.types.IntParamType): ...
-
-
-class StrictIntRange(_StrictInt, click.IntRange): ...
-
-
+INTEGER = Integer(signed=True)
 #: Counts and limits; a negative value is bad input (exit 2).
-COUNT = StrictIntRange(min=0)
+COUNT = Integer(signed=False)
 
 
 @dataclass
@@ -132,7 +133,7 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
         emit_table(header, rows)
 
 
-@click.group()
+@click.group(no_args_is_help=False)  # no arguments: one "Missing command." line
 @click.option(
     "--format",
     "fmt",
@@ -143,15 +144,29 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
     help="Output format on stdout.",
 )
 @click.option(
-    "--factor-bound", type=StrictInt(), default=DEFAULT_FACTOR_BOUND, show_default=True
+    "--factor-bound", type=INTEGER, default=DEFAULT_FACTOR_BOUND, show_default=True
 )
-@click.option("--max-steps", type=COUNT, default=DEFAULT_MAX_STEPS, show_default=True)
-@click.option("--bit-guard", type=COUNT, default=DEFAULT_BIT_GUARD, show_default=True)
+@click.option(
+    "--max-steps",
+    type=COUNT,
+    default=DEFAULT_MAX_STEPS,
+    show_default=True,
+    help="Step budget of each orbit (nonnegative).",
+)
+@click.option(
+    "--bit-guard",
+    type=COUNT,
+    default=DEFAULT_BIT_GUARD,
+    show_default=True,
+    help="End an orbit whose numerator or denominator passes this many bits "
+    "(nonnegative).",
+)
 @click.option(
     "--audit-primes",
     type=COUNT,
     default=None,
-    help="Re-verify cofinite indifference for all primes up to N (at most 10^6).",
+    help="Re-verify cofinite indifference for all primes up to N "
+    f"(nonnegative, at most {MAX_PRIME_SCAN}).",
 )
 @click.pass_context
 def cli(ctx, fmt, factor_bound, max_steps, bit_guard, audit_primes):
@@ -227,7 +242,9 @@ def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
 @click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
 @click.option("--x0", required=True, help="Starting point.")
 @click.option("--place", required=True, help="'real' or a prime.")
-@click.option("--steps", type=COUNT, default=None, help="Defaults to --max-steps.")
+@click.option(
+    "--steps", type=COUNT, default=None, help="Nonnegative; defaults to --max-steps."
+)
 @click.option("--xi", default=None, help="Reference fixed point.")
 @click.pass_obj
 def iterate(cfg: RunConfig, map, x0, place, steps, xi):
@@ -285,7 +302,7 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
             prime_text, _, value_text = item.partition("=")
             if not value_text:
                 raise ParseError(f"--at needs 'p=x', got {item!r}")
-            p = parse_integer(prime_text, f"the prime of --at {item!r}", signed=False)
+            p = parse_integer(prime_text, "a prime in --at", signed=False)
             if p in finite:
                 raise InputError(f"--at lists the prime {p} twice")
             finite[p] = parse_rational(value_text)
@@ -311,7 +328,9 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
 @click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
 @click.option("--xi", required=True, help="Fixed point to refer to.")
 @click.option("--place", required=True, help="'real' or a prime.")
-@click.option("--height", type=COUNT, required=True, help="Max |num| and den of x0.")
+@click.option(
+    "--height", type=COUNT, required=True, help="Max |num| and den of x0 (nonnegative)."
+)
 @click.pass_obj
 def basin(cfg: RunConfig, map, xi, place, height):
     """Verdict for every canonical fraction up to a height bound."""
@@ -352,10 +371,10 @@ def product_formula(cfg: RunConfig, rational: str):
 
 
 @cli.command()
-@click.option("--family", type=StrictIntRange(1, 5), required=True)
+@click.option("--family", type=INTEGER, required=True, help="Family number, 1..5.")
 @click.option("--sign", type=click.Choice(["+", "-"]), default="+", show_default=True)
 @click.option(
-    "--c", "--param", "param", type=StrictInt(), required=True, help="Free integer."
+    "--c", "--param", "param", type=INTEGER, required=True, help="Free integer."
 )
 @click.pass_obj
 def modular(cfg: RunConfig, family: int, sign: str, param: int):
@@ -442,9 +461,20 @@ def cross_ratio_cmd(cfg: RunConfig, map: str, points: str):
 
 
 def main():
-    """Run the CLI; library errors exit 4, 3 or 2 with one line on stderr."""
+    """Run the CLI; the only place a failure leaves the program.
+
+    Returns only on success (`--help` included).  A library error exits 4,
+    3 or 2 and a click usage error exits 2, each with one `error:` line on
+    stderr; Ctrl-C prints click's "Aborted!" and exits 1.
+    """
     try:
-        cli(auto_envvar_prefix="ADELICDYN")
+        cli.main(standalone_mode=False, auto_envvar_prefix="ADELICDYN")
+    except click.Abort:
+        click.echo("Aborted!", err=True)
+        sys.exit(1)
+    except click.UsageError as exc:
+        click.echo(f"error: {exc.format_message()}", err=True)
+        sys.exit(EXIT_INPUT)
     except AdelicDynError as exc:
         click.echo(f"error: {exc}", err=True)
         if isinstance(exc, ResourceLimitError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,7 @@ RationalLike = Fraction | int | str
 DEFAULT_FACTOR_BOUND = 10**6
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def normalize(num: int, den: int) -> Fraction:
@@ -49,8 +51,14 @@ def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> i
 
     Stricter than int(), which also takes whitespace, '+', '_' and
     non-ASCII decimal digits, and than str.isdigit(), which also takes
-    superscript digits.  The error says that `text` is not `what`.
+    superscript digits.  The error says that `text` is not `what`; for text
+    longer than sys.get_int_max_str_digits() (no limit when that is 0 or
+    missing) it names the limit instead of repeating the text.
     """
+    digits = len(text) - text.startswith("-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:
+        raise ParseError(f"{what} may have at most {limit} digits, got {digits}")
     if _INTEGER_RE.fullmatch(text) is None or (not signed and text[0] == "-"):
         raise ParseError(f"{text!r} is not {what}")
     return int(text)
@@ -58,13 +66,13 @@ def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> i
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'n' or 'n/m': sign on the numerator only, no whitespace."""
+    if _RATIONAL_RE.fullmatch(text) is None:
+        raise ParseError(f"{text!r} is not of the form 'n' or 'n/m'")
     num, slash, den = text.partition("/")
-    try:
-        return normalize(
-            parse_integer(num), parse_integer(den, signed=False) if slash else 1
-        )
-    except ParseError:
-        raise ParseError(f"{text!r} is not of the form 'n' or 'n/m'") from None
+    return normalize(
+        parse_integer(num, "a numerator"),
+        parse_integer(den, "a denominator") if slash else 1,
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelicdyn import padic
 from adelicdyn.classification import (
     AdelicFixedPointReport,
     CaseTag,
@@ -31,7 +32,7 @@ from adelicdyn.errors import (
     ResourceLimitError,
     ZeroInput,
 )
-from adelicdyn.exact import MAX_PRIME_SCAN
+from adelicdyn.exact import MAX_PRIME_SCAN, factorize
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL
 from helpers import rand_nonzero, rand_square_disc_map
@@ -170,6 +171,22 @@ def test_predicted_report_matches_computed_on_fixtures():
 def test_predicted_report_case_mismatch():
     with pytest.raises(CaseMismatch):
         case_predicted_report(CaseTag.B, CASE_A_MAP)
+
+
+def test_predicted_report_factors_q_once(monkeypatch):
+    # both fixed points read q's support: one numerator and one
+    # denominator factorization in all
+    calls = []
+
+    def counting_factorize(n, bound):
+        calls.append(n)
+        return factorize(n, bound)
+
+    m = case_a_map(6, 1)
+    monkeypatch.setattr(padic, "factorize", counting_factorize)
+    reports = case_predicted_report(CaseTag.A, m)
+    assert len(calls) == 2
+    assert len(reports) == 2 and reports == adelic_report(m)
 
 
 def test_case_a_fused_when_d_is_unit():

@@ -1,10 +1,25 @@
 """CLI contract: golden JSON, exit codes, determinism, formats, env vars."""
 
 import json
+import sys
 
 import pytest
 
+from adelicdyn import cli as cli_module
+from adelicdyn.cli import COUNT, cli, main
+from adelicdyn.exact import MAX_PRIME_SCAN
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+
+#: Longer than the interpreter's default int/str conversion limit (4300).
+HUGE = "7" * 5000
+
+
+def assert_one_error_line(result, code=2):
+    got, out, err = result
+    assert got == code
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err[:300]
 
 
 @pytest.mark.parametrize("name,args", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])
@@ -202,6 +217,29 @@ def test_iterate_short_orbit_is_undetermined():
         ["--factor-bound", "1_000_000", "product-formula", "-r", "6"],
         ["--bit-guard", "+50", *ITERATE_SPHERE],
         [*ITERATE_SPHERE, "--steps", "9" * 5000],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", HUGE, "--place", "real"],
+        ["classify", "--map", f"1/2,{HUGE},1,2"],
+        ["product-formula", "-r", f"1/{HUGE}"],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "3", "--xi", HUGE],
+        [
+            "adele-step", "--map", "1/2,0,1,2", "--real", "1",
+            "--elsewhere", "1", "--at", f"{HUGE}=1",
+        ],
+        [
+            "adele-step", "--map", "1/2,0,1,2", "--real", "1",
+            "--elsewhere", "1", "--at", f"2=-{HUGE}",
+        ],
+        ["cross-ratio", "--map", "1/2,0,1,2", "--points", f"0,1,3,{HUGE}"],
+        ["--nope", "classify", "--map", "1/2,0,1,2"],
+        ["classify-all", "--map", "1/2,0,1,2"],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "3"],
+        ["classify", "--map"],
+        ["--format", "xml", "classify", "--map", "1/2,0,1,2"],
+        ["modular", "--family", "1", "--sign", "0", "--c", "1"],
+        ["case", "--tag", "G", "--a", "1", "--c", "1"],
+        ["modular", "--family", "0", "--c", "1"],
+        ["modular", "--family", "6", "--c", "1"],
+        [],
     ],
     ids=[
         "superscript-place", "arabic-indic-x0", "superscript-at",
@@ -210,14 +248,63 @@ def test_iterate_short_orbit_is_undetermined():
         "arabic-indic-param", "arabic-indic-family", "arabic-indic-max-steps",
         "underscore-steps", "arabic-indic-height", "arabic-indic-audit-primes",
         "spaced-audit-primes", "underscore-factor-bound", "plus-bit-guard",
-        "5000-digit-steps",
+        "5000-digit-steps", "5000-digit-x0", "5000-digit-map", "5000-digit-r",
+        "5000-digit-xi", "5000-digit-at-prime", "5000-digit-at-value",
+        "5000-digit-points", "unknown-option", "unknown-subcommand",
+        "missing-required-option", "option-without-value", "bad-format",
+        "bad-sign", "bad-tag", "family-0", "family-6", "no-arguments",
     ],
 )
 def test_bad_numbers_are_bad_input(args):
-    code, out, err = run_cli(args)
-    assert code == 2
-    assert out == b""
-    assert b"Traceback" not in err
+    assert_one_error_line(run_cli(args))
+
+
+def test_bad_env_value_is_bad_input():
+    result = run_cli(ITERATE_SPHERE, env_extra={"ADELICDYN_MAX_STEPS": "ten"})
+    assert_one_error_line(result)
+    assert b"--max-steps" in result[2]
+
+
+def test_over_long_numbers_are_not_echoed():
+    limit = str(sys.get_int_max_str_digits()).encode()
+    negative_steps = [*ITERATE_SPHERE, "--steps", "-" + HUGE]
+    for args in (["product-formula", "-r", HUGE], negative_steps):
+        result = run_cli(args)
+        assert_one_error_line(result)
+        assert HUGE.encode() not in result[2] and limit in result[2]
+
+
+@pytest.mark.parametrize(
+    "command", ["", *sorted(cli.commands)], ids=lambda c: c or "group"
+)
+def test_help_works_and_states_the_ranges(command):
+    code, out, err = run_cli([command, "--help"] if command else ["--help"])
+    assert code == 0
+    assert err == b""
+    assert out
+    text = out.decode()
+    params = (cli.commands[command] if command else cli).params
+    count_flags = sum(param.type is COUNT for param in params)
+    assert text.lower().count("nonnegative") == count_flags
+    if command == "":
+        assert str(MAX_PRIME_SCAN) in text
+    if command == "modular":
+        assert "1..5" in text
+
+
+def test_main_returns_on_success_and_ctrl_c_aborts(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["adelicdyn", "product-formula", "-r", "6"])
+    assert main() is None
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["product", "1"]
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "verify_product_formula", interrupted)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr() == ("", "\nAborted!\n")
 
 
 def test_adele_step_rejects_a_repeated_prime():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,20 @@ def test_parse_integer_is_strict_ascii():
             parse_integer(text)
     with pytest.raises(ParseError):
         parse_integer("-1", signed=False)
+
+
+def test_parse_integer_follows_the_interpreter_digit_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10)
+    assert parse_integer("-" + "9" * 10) == -(10**10 - 1)
+    with pytest.raises(ParseError, match="at most 10 digits, got 11"):
+        parse_integer("9" * 11)
+    with pytest.raises(ParseError, match="at most 10 digits"):
+        parse_rational("1/" + "9" * 11)
+    # 0 means no limit, and interpreters before 3.10.7 have no limit at all
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert parse_integer("9" * 11) == 10**11 - 1
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert parse_rational("1/" + "9" * 11) == Fraction(1, 10**11 - 1)
 
 
 def test_parse_rational_zero_denominator():
