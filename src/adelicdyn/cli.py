@@ -2,12 +2,14 @@
 
 Every subcommand writes one machine-readable document to stdout (a single
 JSON document, CSV rows, or an aligned table) and keeps diagnostics on
-stderr.  Exit codes are a stable contract: 0 success, 2 bad input, 3
-mathematics outside the rational scope, 4 a tripped resource guard.  Every
-failure, click's usage errors included, leaves through `main()` as one
-`error:` line on stderr; an integer with more digits than the interpreter
-converts is bad input.  All flags can also be set through ADELICDYN_*
-environment variables.
+stderr; csv and table rows are read from the JSON document.  Exit codes
+are a stable contract: 0 success, 2 bad input, 3 mathematics outside the
+rational scope, 4 a tripped resource guard.  Every failure, click's usage
+errors included, leaves through `main()` as one `error:` line on stderr.
+A flag's value is read by a library parser (the `Value` type), so its error
+names the flag and quotes malformed text only up to `exact.QUOTE_CHARS`
+characters.  All flags can also be set through ADELICDYN_* environment
+variables.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from .exact import (
     is_perfect_square,
     parse_integer,
     parse_rational,
+    parse_rationals,
+    quote,
 )
 from .moebius import MoebiusMap, cross_ratio, fixed_points, modular_family
 from .padic import Place
@@ -69,26 +73,42 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
 
-class Integer(click.ParamType):
-    """An integer flag, read by `parse_integer` alone; its ParseError names
-    the flag.  Other ranges are checked by the code that takes the value."""
+class Value(click.ParamType):
+    """A flag read by one library parser; its InputError names the flag."""
 
-    name = "integer"
-
-    def __init__(self, signed: bool):
-        self.signed = signed
+    def __init__(self, name: str, parse):
+        self.name = name
+        self.parse = parse
 
     def convert(self, value, param, ctx):
-        if isinstance(value, int):  # a default
+        if not isinstance(value, str):  # a default
             return value
-        what = "an integer" if self.signed else "a nonnegative integer"
-        what += f" for {param.get_error_hint(ctx)}"
-        return parse_integer(value, what, self.signed)
+        try:
+            return self.parse(value)
+        except InputError as exc:
+            raise InputError(f"{param.get_error_hint(ctx)}: {exc}") from exc
 
 
-INTEGER = Integer(signed=True)
+def _prime_and_value(text: str) -> tuple[int, Fraction]:
+    """One 'p=x' component of an adele; p must be a prime."""
+    prime_text, _, value_text = text.partition("=")
+    if not value_text:
+        raise ParseError(f"expected 'p=x', got {quote(text)}")
+    p = Place(parse_integer(prime_text, "a prime", False)).p
+    return p, parse_rational(value_text)
+
+
+INTEGER = Value("integer", lambda s: parse_integer(s, "an integer"))
 #: Counts and limits; a negative value is bad input (exit 2).
-COUNT = Integer(signed=False)
+COUNT = Value("integer", lambda s: parse_integer(s, "a nonnegative integer", False))
+# parse_rational is looked up per call, as the module-level name that
+# perfbench's tracer rebinds
+RATIONAL = Value("rational", lambda s: parse_rational(s))
+MAP = Value("a,b,c,d", MoebiusMap.from_string)
+PLACE = Value("place", Place.from_string)
+POINTS = Value("x1,x2,x3,x4", lambda s: parse_rationals(s, 4))
+COMPONENT = Value("p=x", _prime_and_value)
+SIGN = click.Choice(["+", "-"])
 
 
 @dataclass
@@ -102,35 +122,20 @@ class RunConfig:
     audit_primes: int | None
 
 
-def emit_json(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
-
-
-def emit_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
 def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) -> None:
+    """Write `doc` as JSON, or the csv/table rows read from it."""
     if cfg.fmt == "json":
-        emit_json(doc)
-    elif cfg.fmt == "csv":
-        emit_csv(header, rows)
-    else:
-        emit_table(header, rows)
+        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    table = [header, *rows]
+    if cfg.fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        click.echo(buf.getvalue(), nl=False)
+        return
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    for row in table:
+        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 @click.group(no_args_is_help=False)  # no arguments: one "Missing command." line
@@ -169,15 +174,9 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
     f"(nonnegative, at most {MAX_PRIME_SCAN}).",
 )
 @click.pass_context
-def cli(ctx, fmt, factor_bound, max_steps, bit_guard, audit_primes):
+def cli(ctx, **params):
     """Exact Moebius dynamics over the real and all p-adic places."""
-    ctx.obj = RunConfig(
-        fmt=fmt,
-        factor_bound=factor_bound,
-        max_steps=max_steps,
-        bit_guard=bit_guard,
-        audit_primes=audit_primes,
-    )
+    ctx.obj = RunConfig(**params)
 
 
 def _case_tags(m: MoebiusMap) -> list[str]:
@@ -204,27 +203,21 @@ def _classification_doc(cfg: RunConfig, m: MoebiusMap) -> dict:
     return doc
 
 
-def _classification_rows(doc: dict) -> list[list[str]]:
-    rows = []
-    for report in doc["reports"]:
-        for entry in report["places"]:
-            rows.append(
-                [report["xi"], entry["place"], entry["kind"], entry["multiplier_norm"]]
-            )
-    return rows
-
-
-_CLASSIFY_HEADER = ["xi", "place", "kind", "multiplier_norm"]
+def _emit_classification(cfg: RunConfig, doc: dict) -> None:
+    rows = [
+        [report["xi"], entry["place"], entry["kind"], entry["multiplier_norm"]]
+        for report in doc["reports"]
+        for entry in report["places"]
+    ]
+    emit(cfg, doc, ["xi", "place", "kind", "multiplier_norm"], rows)
 
 
 @cli.command()
-@click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
+@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
 @click.pass_obj
-def classify(cfg: RunConfig, map: str):
+def classify(cfg: RunConfig, map: MoebiusMap):
     """Fixed points and their stability at every place."""
-    m = MoebiusMap.from_string(map)
-    doc = _classification_doc(cfg, m)
-    emit(cfg, doc, _CLASSIFY_HEADER, _classification_rows(doc))
+    _emit_classification(cfg, _classification_doc(cfg, map))
 
 
 def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
@@ -239,140 +232,119 @@ def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
 
 
 @cli.command()
-@click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--x0", required=True, help="Starting point.")
-@click.option("--place", required=True, help="'real' or a prime.")
+@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
+@click.option("--x0", type=RATIONAL, required=True, help="Starting point.")
+@click.option("--place", type=PLACE, required=True, help="'real' or a prime.")
 @click.option(
     "--steps", type=COUNT, default=None, help="Nonnegative; defaults to --max-steps."
 )
-@click.option("--xi", default=None, help="Reference fixed point.")
+@click.option("--xi", type=RATIONAL, default=None, help="Reference fixed point.")
 @click.pass_obj
 def iterate(cfg: RunConfig, map, x0, place, steps, xi):
     """Exact orbit with per-step distance to a fixed point."""
-    m = MoebiusMap.from_string(map)
-    v = Place.from_string(place)
-    start = parse_rational(x0)
-    xi = parse_rational(xi) if xi is not None else _default_xi(m, v)
-    record = iterate_at_place(
-        m,
-        start,
-        xi,
-        v,
-        max_steps=steps if steps is not None else cfg.max_steps,
-        bit_guard=cfg.bit_guard,
-    )
-    verdict = detect_behavior(record, m)
+    if xi is None:
+        xi = _default_xi(map, place)
+    steps = steps if steps is not None else cfg.max_steps
+    record = iterate_at_place(map, x0, xi, place, steps, bit_guard=cfg.bit_guard)
     doc = {
-        "map": m.to_dict(),
-        "place": str(v),
-        "x0": str(start),
+        "map": map.to_dict(),
+        "place": str(place),
+        "x0": str(x0),
         "xi": str(xi),
         "terminated_by": record.terminated_by.value,
         "steps": [{"n": s.n, "x": str(s.x), "dist": str(s.dist)} for s in record.steps],
-        "verdict": verdict.to_dict(),
+        "verdict": detect_behavior(record, map).to_dict(),
     }
-    rows = [[str(s.n), str(s.x), str(s.dist)] for s in record.steps]
+    rows = [[str(s["n"]), s["x"], s["dist"]] for s in doc["steps"]]
     emit(cfg, doc, ["n", "x", "dist"], rows)
 
 
 @cli.command("adele-step")
-@click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--principal", default=None, help="Step the principal adele of r.")
-@click.option("--real", default=None, help="Real component.")
+@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
+@click.option(
+    "--principal", type=RATIONAL, default=None, help="Step the principal adele of r."
+)
+@click.option("--real", type=RATIONAL, default=None, help="Real component.")
 @click.option(
     "--at",
     "at",
+    type=COMPONENT,
     multiple=True,
     help="Listed component 'p=x'; may repeat.",
 )
-@click.option("--elsewhere", default=None, help="Shared value at unlisted primes.")
+@click.option(
+    "--elsewhere", type=RATIONAL, default=None, help="Shared value at unlisted primes."
+)
 @click.pass_obj
 def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
     """Apply the map componentwise to an adele."""
-    m = MoebiusMap.from_string(map)
     if principal is not None:
         if real is not None or at or elsewhere is not None:
             raise InputError("--principal excludes --real/--at/--elsewhere")
-        point = principal_adele(parse_rational(principal), cfg.factor_bound)
+        point = principal_adele(principal, cfg.factor_bound)
     else:
         if real is None or elsewhere is None:
             raise InputError("need --real and --elsewhere (or --principal)")
         finite = {}
-        for item in at:
-            prime_text, _, value_text = item.partition("=")
-            if not value_text:
-                raise ParseError(f"--at needs 'p=x', got {item!r}")
-            p = parse_integer(prime_text, "a prime in --at", signed=False)
+        for p, x in at:
             if p in finite:
                 raise InputError(f"--at lists the prime {p} twice")
-            finite[p] = parse_rational(value_text)
-        point = AdelePoint(
-            real=parse_rational(real),
-            finite=finite,
-            elsewhere=parse_rational(elsewhere),
-        )
-    result = step_adele(m, point, cfg.factor_bound)
-    doc = {"map": m.to_dict(), "input": point.to_dict(), "output": result.to_dict()}
+            finite[p] = x
+        point = AdelePoint(real=real, finite=finite, elsewhere=elsewhere)
+    result = step_adele(map, point, cfg.factor_bound)
+    doc = {"map": map.to_dict(), "input": point.to_dict(), "output": result.to_dict()}
+    given, got = doc["input"], doc["output"]
+    listed = {c["p"]: c["x"] for c in given["components"]}
     rows = [
-        ["real", str(point.real), str(result.real)],
-        *[
-            [str(p), str(point.component(Place(p))), str(result.finite[p])]
-            for p in result.listed_primes()
-        ],
-        ["elsewhere", str(point.elsewhere), str(result.elsewhere)],
+        ["real", given["real"], got["real"]],
+        *(
+            [str(c["p"]), listed.get(c["p"], given["elsewhere"]), c["x"]]
+            for c in got["components"]
+        ),
+        ["elsewhere", given["elsewhere"], got["elsewhere"]],
     ]
     emit(cfg, doc, ["place", "input", "output"], rows)
 
 
 @cli.command()
-@click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--xi", required=True, help="Fixed point to refer to.")
-@click.option("--place", required=True, help="'real' or a prime.")
+@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
+@click.option("--xi", type=RATIONAL, required=True, help="Fixed point to refer to.")
+@click.option("--place", type=PLACE, required=True, help="'real' or a prime.")
 @click.option(
     "--height", type=COUNT, required=True, help="Max |num| and den of x0 (nonnegative)."
 )
 @click.pass_obj
 def basin(cfg: RunConfig, map, xi, place, height):
     """Verdict for every canonical fraction up to a height bound."""
-    m = MoebiusMap.from_string(map)
-    v = Place.from_string(place)
-    xi = parse_rational(xi)
-    points = basin_sample(
-        m,
-        xi,
-        v,
-        height,
-        max_steps=cfg.max_steps,
-        bit_guard=cfg.bit_guard,
+    sample = basin_sample(
+        map, xi, place, height, max_steps=cfg.max_steps, bit_guard=cfg.bit_guard
     )
+    points = [p.to_dict() for p in sample]
     doc = {
-        "map": m.to_dict(),
-        "place": str(v),
+        "map": map.to_dict(),
+        "place": str(place),
         "xi": str(xi),
         "height": height,
-        "points": [p.to_dict() for p in points],
+        "points": points,
     }
-    rows = [
-        [str(p.x0), p.verdict.kind.value, str(p.steps_used)] for p in points
-    ]
+    rows = [[p["x0"], p["verdict"]["kind"], str(p["steps_used"])] for p in points]
     emit(cfg, doc, ["x0", "verdict", "steps_used"], rows)
 
 
 @cli.command("product-formula")
-@click.option("-r", "--rational", required=True, help="Nonzero rational.")
+@click.option("-r", "--rational", type=RATIONAL, required=True, help="Nonzero.")
 @click.pass_obj
-def product_formula(cfg: RunConfig, rational: str):
+def product_formula(cfg: RunConfig, rational: Fraction):
     """Factor |r|_v over all places; the product is always 1."""
-    report = verify_product_formula(parse_rational(rational), cfg.factor_bound)
-    doc = report.to_dict()
-    rows = [[str(v), str(norm)] for v, norm in report.factors]
-    rows.append(["product", str(report.product)])
+    doc = verify_product_formula(rational, cfg.factor_bound).to_dict()
+    rows = [[f["place"], f["norm"]] for f in doc["factors"]]
+    rows.append(["product", doc["product"]])
     emit(cfg, doc, ["place", "norm"], rows)
 
 
 @cli.command()
 @click.option("--family", type=INTEGER, required=True, help="Family number, 1..5.")
-@click.option("--sign", type=click.Choice(["+", "-"]), default="+", show_default=True)
+@click.option("--sign", type=SIGN, default="+", show_default=True)
 @click.option(
     "--c", "--param", "param", type=INTEGER, required=True, help="Free integer."
 )
@@ -382,7 +354,7 @@ def modular(cfg: RunConfig, family: int, sign: str, param: int):
     m = modular_family(family, 1 if sign == "+" else -1, param)
     doc = {"family": family, "sign": sign, "param": param}
     doc.update(_classification_doc(cfg, m))
-    emit(cfg, doc, _CLASSIFY_HEADER, _classification_rows(doc))
+    _emit_classification(cfg, doc)
 
 
 _CASE_BUILDERS = {
@@ -397,66 +369,47 @@ _CASE_BUILDERS = {
 
 @cli.command()
 @click.option("--tag", type=click.Choice([t.value for t in CaseTag]), required=True)
-@click.option("--a", default=None, help="Rational (cases A, E, F).")
-@click.option("--c", default=None, help="Rational (cases A, C, D, E, F).")
-@click.option("--t", default=None, help="Rational (case B).")
-@click.option("--sign", type=click.Choice(["+", "-"]), default=None, help="C and D.")
+@click.option("--a", type=RATIONAL, default=None, help="Cases A, E, F.")
+@click.option("--c", type=RATIONAL, default=None, help="Cases A, C, D, E, F.")
+@click.option("--t", type=RATIONAL, default=None, help="Case B.")
+@click.option("--sign", type=SIGN, default=None, help="C and D.")
 @click.pass_obj
 def case(cfg: RunConfig, tag, a, c, t, sign):
     """Construct a map satisfying one family's constraints and classify it."""
     builder, needed = _CASE_BUILDERS[tag]
-    given = {
-        "a": a,
-        "c": c,
-        "t": t,
-        "sign": sign,
-    }
-    args = []
-    for name in needed:
-        if given[name] is None:
-            raise InputError(f"case {tag} needs --{name}")
-        if name == "sign":
-            args.append(1 if given[name] == "+" else -1)
-        else:
-            args.append(parse_rational(given[name]))
+    given = {"a": a, "c": c, "t": t, "sign": sign}
     for name, value in given.items():
-        if value is not None and name not in needed:
-            raise InputError(f"case {tag} does not take --{name}")
-    m = builder(*args)
+        if (value is None) == (name in needed):
+            verb = "needs" if value is None else "does not take"
+            raise InputError(f"case {tag} {verb} --{name}")
+    if sign is not None:
+        given["sign"] = 1 if sign == "+" else -1
     doc = {"tag": tag}
-    doc.update(_classification_doc(cfg, m))
-    emit(cfg, doc, _CLASSIFY_HEADER, _classification_rows(doc))
+    doc.update(_classification_doc(cfg, builder(*(given[name] for name in needed))))
+    _emit_classification(cfg, doc)
 
 
 @cli.command("cross-ratio")
-@click.option("--map", required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--points", required=True, help="Four rationals 'x1,x2,x3,x4'.")
+@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
+@click.option("--points", type=POINTS, required=True, help="Four distinct rationals.")
 @click.pass_obj
-def cross_ratio_cmd(cfg: RunConfig, map: str, points: str):
+def cross_ratio_cmd(cfg: RunConfig, map: MoebiusMap, points: list[Fraction]):
     """Cross-ratio before and after the map; the values must agree."""
-    m = MoebiusMap.from_string(map)
-    parts = points.split(",")
-    if len(parts) != 4:
-        raise ParseError(f"expected four comma-separated points, got {points!r}")
-    xs = [parse_rational(part) for part in parts]
-    if len(set(xs)) != 4:
+    if len(set(points)) != 4:
         raise DegeneratePoints("the four points must be pairwise distinct")
-    images = [m.apply(x) for x in xs]
-    before = cross_ratio(*xs)
+    images = [map.apply(x) for x in points]
+    before = cross_ratio(*points)
     after = cross_ratio(*images)
     doc = {
-        "map": m.to_dict(),
-        "points": [str(x) for x in xs],
+        "map": map.to_dict(),
+        "points": [str(x) for x in points],
         "images": [str(y) for y in images],
         "before": str(before),
         "after": str(after),
         "equal": before == after,
     }
-    rows = [
-        ["before", str(before)],
-        ["after", str(after)],
-        ["equal", str(before == after).lower()],
-    ]
+    rows = [[side, doc[side]] for side in ("before", "after")]
+    rows.append(["equal", json.dumps(doc["equal"])])
     emit(cfg, doc, ["side", "value"], rows)
 
 

@@ -38,12 +38,23 @@ DEFAULT_FACTOR_BOUND = 10**6
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+#: Error messages show at most this many characters of malformed text.
+QUOTE_CHARS = 32
+
 
 def normalize(num: int, den: int) -> Fraction:
     """num/den in canonical form: positive denominator, coprime, 0 -> 0/1."""
     if den == 0:
         raise ZeroDenominator(f"{num}/0 is not a rational")
     return Fraction(num, den)
+
+
+def quote(text: str) -> str:
+    """repr(text) for an error message; longer text is cut to QUOTE_CHARS
+    characters and its length given, so the message stays one short line."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> int:
@@ -60,19 +71,29 @@ def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> i
     if 0 < limit < digits:
         raise ParseError(f"{what} may have at most {limit} digits, got {digits}")
     if _INTEGER_RE.fullmatch(text) is None or (not signed and text[0] == "-"):
-        raise ParseError(f"{text!r} is not {what}")
+        raise ParseError(f"{quote(text)} is not {what}")
     return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'n' or 'n/m': sign on the numerator only, no whitespace."""
     if _RATIONAL_RE.fullmatch(text) is None:
-        raise ParseError(f"{text!r} is not of the form 'n' or 'n/m'")
+        raise ParseError(f"{quote(text)} is not of the form 'n' or 'n/m'")
     num, slash, den = text.partition("/")
     return normalize(
         parse_integer(num, "a numerator"),
         parse_integer(den, "a denominator") if slash else 1,
     )
+
+
+def parse_rationals(text: str, count: int) -> list[Fraction]:
+    """Parse exactly `count` comma-separated rationals ('x1,x2,...')."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ParseError(
+            f"expected {count} comma-separated rationals, got {quote(text)}"
+        )
+    return [parse_rational(part) for part in parts]
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,10 @@ from .errors import (
     NonRationalFixedPoints,
     NonSquareDeterminant,
     NotUnimodular,
-    ParseError,
     PoleInput,
     SingularMap,
 )
-from .exact import RationalLike, is_perfect_square, parse_rational
+from .exact import RationalLike, is_perfect_square, parse_rationals
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,7 @@ class MoebiusMap:
     @classmethod
     def from_string(cls, text: str) -> "MoebiusMap":
         """Parse the 'a,b,c,d' comma syntax used on the command line."""
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 'a,b,c,d', got {text!r}")
-        return cls(*(parse_rational(part) for part in parts))
+        return cls(*parse_rationals(text, 4))
 
     @property
     def det(self) -> Fraction:

@@ -1,17 +1,22 @@
 """CLI contract: golden JSON, exit codes, determinism, formats, env vars."""
 
+import ast
+import inspect
 import json
+import re
 import sys
 
+import click
 import pytest
 
 from adelicdyn import cli as cli_module
-from adelicdyn.cli import COUNT, cli, main
+from adelicdyn.cli import COUNT, Value, cli, main
 from adelicdyn.exact import MAX_PRIME_SCAN
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 
 #: Longer than the interpreter's default int/str conversion limit (4300).
 HUGE = "7" * 5000
+GOLDEN_IDS = [name for name, _ in GOLDEN_COMMANDS]
 
 
 def assert_one_error_line(result, code=2):
@@ -356,3 +361,169 @@ def test_classify_case_tags_in_output():
     assert report["places"] == [
         {"place": "real", "kind": "indifferent", "multiplier_norm": "1"}
     ]
+
+
+LONG_X = "x" * 5000
+ITERATE_START = ["iterate", "--map", "1/2,0,1,2", "--place", "3", "--x0"]
+ADELE_AT = [
+    "adele-step", "--map", "1/2,0,1,2", "--real", "1", "--elsewhere", "1", "--at",
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["product-formula", "-r", "+" + HUGE[1:]],
+        ["classify", "--map", f"1,2,{LONG_X[6:]},4"],
+        ["classify", "--map", "1," * 2500],
+        ["cross-ratio", "--map", "1/2,0,1,2", "--points", "0," * 2500],
+        [*ADELE_AT, LONG_X],
+        [*ITERATE_START, LONG_X],
+        [*ITERATE_START, "\u0663" * 5000],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", LONG_X],
+    ],
+    ids=["r-plus", "map-x", "map-count", "points", "at", "x0", "x0-arabic", "place"],
+)
+def test_malformed_over_long_values_are_not_echoed(args):
+    # the malformed value is the last argument
+    result = run_cli(args)
+    assert_one_error_line(result)
+    assert len(result[2].rstrip(b"\n")) <= 200, result[2][:300]
+    assert args[-1].encode() not in result[2]
+
+
+#: A valid invocation of each subcommand; a bad value for any one flag is
+#: added to it (or replaces it) and must be reported with that flag's name.
+VALID_ARGV = {
+    "classify": ["--map", "1/2,0,1,2"],
+    "iterate": ["--map", "1/2,0,1,2", "--x0", "3", "--place", "3", "--steps", "2"],
+    "adele-step": ["--map", "1/2,0,1,2", "--principal", "1"],
+    "basin": ["--map", "1/2,0,1,2", "--xi", "0", "--place", "2", "--height", "1"],
+    "product-formula": ["-r", "6"],
+    "modular": ["--family", "1", "--c", "1"],
+    "case": ["--tag", "E", "--a", "2", "--c", "1"],
+    "cross-ratio": ["--map", "1/2,0,1,2", "--points", "0,1,3,4"],
+}
+
+
+def _value_flags():
+    """(command, option) for every option that is not a choice; "" is the group."""
+    commands = [("", cli), *sorted(cli.commands.items())]
+    return [
+        (name, p)
+        for name, command in commands
+        for p in command.params
+        if not isinstance(p.type, click.Choice)
+    ]
+
+
+def _with_bad_value(command, option, bad="x"):
+    if not command:
+        return [option.opts[0], bad, "classify", *VALID_ARGV["classify"]]
+    argv = list(VALID_ARGV[command])
+    for flag in option.opts:
+        if flag in argv:
+            argv[argv.index(flag) + 1] = bad
+            return [command, *argv]
+    return [command, *argv, option.opts[0], bad]
+
+
+VALUE_FLAGS = _value_flags()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGV))
+def test_valid_argv_are_valid(command):
+    assert run_cli([command, *VALID_ARGV[command]])[0] == 0
+
+
+def test_every_listed_value_flag_is_covered():
+    covered = {flag for _, option in VALUE_FLAGS for flag in option.opts}
+    assert covered >= {
+        "--map", "--x0", "--xi", "--place", "--steps", "-r", "--points", "--at",
+        "--principal", "--real", "--elsewhere", "--height", "--a", "--c", "--t",
+        "--family", "--param", "--factor-bound", "--max-steps", "--bit-guard",
+        "--audit-primes",
+    }
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    VALUE_FLAGS,
+    ids=[f"{c or 'group'}-{o.opts[-1]}" for c, o in VALUE_FLAGS],
+)
+def test_every_value_error_names_its_flag(command, option):
+    result = run_cli(_with_bad_value(command, option))
+    assert_one_error_line(result)
+    for flag in option.opts:
+        assert f"'{flag}'".encode() in result[2], result[2]
+
+
+def test_a_composite_at_prime_names_the_flag():
+    result = run_cli([*ADELE_AT, "4=1"])
+    assert_one_error_line(result)
+    assert b"'--at'" in result[2] and b"not a prime" in result[2]
+
+
+def test_every_option_is_a_value_or_a_choice():
+    for command in [cli, *cli.commands.values()]:
+        for param in command.params:
+            assert isinstance(param.type, (Value, click.Choice)), param.name
+
+
+def test_cli_defines_one_param_type():
+    types = [
+        obj
+        for obj in vars(cli_module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, click.ParamType)
+        and obj.__module__ == cli_module.__name__
+    ]
+    assert types == [Value]
+
+
+def test_no_command_body_parses_text():
+    parsers = {"parse_rational", "parse_rationals", "parse_integer", "from_string"}
+    for command in [cli, *cli.commands.values()]:
+        source = inspect.getsource(inspect.unwrap(command.callback))
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert not called & parsers, command.name
+
+
+def _rows(fmt, args):
+    code, out, err = run_cli(["--format", fmt, *args])
+    assert code == 0, err
+    lines = out.decode().splitlines()
+    if fmt == "csv":
+        return [line.split(",") for line in lines]
+    return [re.split(r" {2,}", line) for line in lines]
+
+
+@pytest.mark.parametrize("args", [a for _, a in GOLDEN_COMMANDS], ids=GOLDEN_IDS)
+def test_table_and_csv_give_the_same_rows(args):
+    args = args[2:]  # drop "--format json"
+    rows = _rows("csv", args)
+    assert len(rows) > 1
+    assert _rows("table", args) == rows
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (
+            ["adele-step", "--map", "1/2,0,1,2", "--principal", "1"],
+            "place,input,output\nreal,1,1/6\n2,1,1/6\n3,1,1/6\nelsewhere,1,1/6\n",
+        ),
+        (
+            ["cross-ratio", "--map", "1/2,0,1,2", "--points", "0,1,3,4"],
+            "side,value\nbefore,9/8\nafter,9/8\nequal,true\n",
+        ),
+    ],
+    ids=["adele-step", "cross-ratio"],
+)
+def test_csv_output_is_pinned(args, expected):
+    assert run_cli(["--format", "csv", *args]) == (0, expected.encode(), b"")

@@ -18,6 +18,7 @@ from adelicdyn.errors import (
 )
 from adelicdyn.exact import (
     MAX_PRIME_SCAN,
+    QUOTE_CHARS,
     Factorization,
     factorize,
     is_perfect_square,
@@ -25,7 +26,9 @@ from adelicdyn.exact import (
     normalize,
     parse_integer,
     parse_rational,
+    parse_rationals,
     primes_upto,
+    quote,
     strip_prime,
 )
 from helpers import trial_division_oracle
@@ -102,6 +105,28 @@ def test_parse_integer_follows_the_interpreter_digit_limit(monkeypatch):
     assert parse_integer("9" * 11) == 10**11 - 1
     monkeypatch.delattr(sys, "get_int_max_str_digits")
     assert parse_rational("1/" + "9" * 11) == Fraction(1, 10**11 - 1)
+
+
+def test_malformed_text_is_quoted_up_to_the_cap():
+    short = "x" * QUOTE_CHARS
+    assert quote(short) == repr(short)
+    long = "y" * (QUOTE_CHARS + 1)
+    assert quote(long) == f"{'y' * QUOTE_CHARS!r}... ({QUOTE_CHARS + 1} characters)"
+    for parse, text in [
+        (parse_integer, "1" * 100 + "x"),
+        (parse_rational, "x" * 3000),
+        (lambda t: parse_rationals(t, 4), "0," * 3000),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert text not in str(info.value) and len(str(info.value)) < 120
+
+
+def test_parse_rationals_takes_exactly_count_values():
+    assert parse_rationals("0,-1/2,3", 3) == [0, Fraction(-1, 2), 3]
+    for text in ["0,1", "0,1,2,3", "0,,1", "0, 1,2"]:
+        with pytest.raises(ParseError):
+            parse_rationals(text, 3)
 
 
 def test_parse_rational_zero_denominator():
