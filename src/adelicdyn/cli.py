@@ -41,6 +41,7 @@ from .dynamics import (
     DEFAULT_BIT_GUARD,
     DEFAULT_MAX_STEPS,
     AdelePoint,
+    Termination,
     basin_sample,
     detect_behavior,
     iterate_at_place,
@@ -163,8 +164,9 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
     type=COUNT,
     default=DEFAULT_BIT_GUARD,
     show_default=True,
-    help="End an orbit whose numerator or denominator passes this many bits "
-    "(nonnegative).",
+    help="End an orbit before a point or distance whose numerator or denominator "
+    f"passes this many bits (nonnegative, at most {DEFAULT_BIT_GUARD}, the largest "
+    "size that prints).",
 )
 @click.option(
     "--audit-primes",
@@ -177,6 +179,10 @@ def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) ->
 def cli(ctx, **params):
     """Exact Moebius dynamics over the real and all p-adic places."""
     ctx.obj = RunConfig(**params)
+    if ctx.obj.bit_guard > DEFAULT_BIT_GUARD:
+        raise ResourceLimitError(
+            f"--bit-guard {ctx.obj.bit_guard} is above the cap {DEFAULT_BIT_GUARD} bits"
+        )
 
 
 def _case_tags(m: MoebiusMap) -> list[str]:
@@ -257,6 +263,10 @@ def iterate(cfg: RunConfig, map, x0, place, steps, xi):
     }
     rows = [[str(s["n"]), s["x"], s["dist"]] for s in doc["steps"]]
     emit(cfg, doc, ["n", "x", "dist"], rows)
+    stop = record.terminated_by
+    if cfg.fmt != "json" and stop in (Termination.OVERFLOW_GUARD, Termination.POLE_HIT):
+        n = len(record.steps)
+        click.echo(f"note: {stop.value} ended the orbit before step {n}", err=True)
 
 
 @cli.command("adele-step")

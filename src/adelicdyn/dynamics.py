@@ -28,12 +28,23 @@ from .errors import (
     PoleInput,
     ZeroInput,
 )
-from .exact import DEFAULT_FACTOR_BOUND, RationalLike, factorize, strip_prime
+from .exact import (
+    DEFAULT_FACTOR_BOUND,
+    RationalLike,
+    factorize,
+    int_digit_limit,
+    strip_prime,
+)
 from .moebius import MoebiusMap
 from .padic import REAL, Place, norm_support, place_norm, valuation
 
 DEFAULT_MAX_STEPS = 10_000
-DEFAULT_BIT_GUARD = 10**6
+#: The largest bit size whose integers print within int_digit_limit()
+#: decimal digits (10^6 where the interpreter has no limit); the default
+#: and the cap of the CLI's --bit-guard.
+DEFAULT_BIT_GUARD = (
+    (10 ** int_digit_limit()).bit_length() - 1 if int_digit_limit() else 10**6
+)
 #: An orbit has converged once its distance to xi has strictly decreased
 #: for WINDOW consecutive steps and is below CONVERGENCE_THRESHOLD; every
 #: other verdict is read from the last WINDOW steps of the orbit.
@@ -82,7 +93,10 @@ def iterate_at_place(
     it starts on xi, or once the distance has strictly decreased for
     WINDOW consecutive steps and sits below CONVERGENCE_THRESHOLD
     (everything after is fixed-point approach, and sizes would grow without
-    bound).  This is the only convergence test in the library.
+    bound).  This is the only convergence test in the library.  The orbit
+    stops by the bit guard before recording a step whose x or dist has a
+    numerator or denominator longer than `bit_guard` bits; dist can outgrow
+    x by the bits of xi.  At the default every recorded value prints.
 
     The map's denominators are cleared once into an integer matrix
     (a, b, c, d), which acts on the point as the pair num/den: a step is
@@ -124,6 +138,10 @@ def iterate_at_place(
             return norm
 
     window, threshold = WINDOW, CONVERGENCE_THRESHOLD
+    # dist has at most xi's bits + 1 more bits than x (its parts divide
+    # num xi_den - xi_num den or den xi_den), so only an x longer than
+    # `near` can trip the guard
+    near = bit_guard - max(xi_num.bit_length(), xi_den.bit_length()) - 1
     num, den = x0.numerator, x0.denominator
     steps = [Step(0, x0, distance(num, den))]
     terminated = Termination.MAX_STEPS
@@ -138,10 +156,12 @@ def iterate_at_place(
                 break
             x = Fraction(a * num + b * den, new_den)
             num, den = x.numerator, x.denominator
-            if num.bit_length() > bit_guard or den.bit_length() > bit_guard:
+            dist = distance(num, den)
+            if (num.bit_length() > near or den.bit_length() > near) and max(
+                k.bit_length() for k in (num, den, dist.numerator, dist.denominator)
+            ) > bit_guard:
                 terminated = Termination.OVERFLOW_GUARD
                 break
-            dist = distance(num, den)
             decreasing_run = decreasing_run + 1 if dist < steps[-1].dist else 0
             steps.append(Step(n, x, dist))
             if decreasing_run >= window and dist < threshold:

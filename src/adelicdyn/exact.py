@@ -57,6 +57,12 @@ def quote(text: str) -> str:
     return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
+def int_digit_limit() -> int:
+    """sys.get_int_max_str_digits(): the most decimal digits an int may
+    have in str() and int(); 0 (no limit) where the interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> int:
     """Parse ASCII decimal digits, led by '-' only when `signed`.
 
@@ -67,7 +73,7 @@ def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> i
     missing) it names the limit instead of repeating the text.
     """
     digits = len(text) - text.startswith("-")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
     if 0 < limit < digits:
         raise ParseError(f"{what} may have at most {limit} digits, got {digits}")
     if _INTEGER_RE.fullmatch(text) is None or (not signed and text[0] == "-"):

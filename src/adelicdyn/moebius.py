@@ -1,10 +1,12 @@
 """Moebius maps x -> (ax + b)/(cx + d) with rational coefficients.
 
 A map is identified with its 2x2 coefficient matrix, so composition is the
-matrix product and the n-th iterate is a matrix power.  Poles raise errors
-rather than extending the rationals by a point at infinity; the scalar type
-stays closed.  Maps are kept exactly as constructed (no silent
-normalization); `rescale_to_unit_det` is the explicit route to det = 1.
+matrix product and the n-th iterate is a matrix power: in closed form from
+the eigenvalues when they are rational (the paper's scope), by repeated
+squaring otherwise.  Poles raise errors rather than extending the
+rationals by a point at infinity; the scalar type stays closed.  Maps are
+kept exactly as constructed (no silent normalization);
+`rescale_to_unit_det` is the explicit route to det = 1.
 """
 
 from __future__ import annotations
@@ -47,6 +49,18 @@ class MoebiusMap:
         return cls(1, 0, 0, 1)
 
     @classmethod
+    def _nonsingular(cls, *entries: Fraction) -> "MoebiusMap":
+        """A map from Fraction entries whose det is known to be nonzero.
+
+        Products and powers of maps have det = the product of the dets, so
+        they skip the ad - bc check, whose gcds dominate on large entries.
+        """
+        m = object.__new__(cls)
+        for name, x in zip(("a", "b", "c", "d"), entries):
+            object.__setattr__(m, name, x)
+        return m
+
+    @classmethod
     def from_string(cls, text: str) -> "MoebiusMap":
         """Parse the 'a,b,c,d' comma syntax used on the command line."""
         return cls(*parse_rationals(text, 4))
@@ -82,7 +96,7 @@ class MoebiusMap:
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product: self.compose(other)(x) == self(other(x))."""
-        return MoebiusMap(
+        return MoebiusMap._nonsingular(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -94,9 +108,38 @@ class MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def power(self, n: int) -> "MoebiusMap":
-        """n-th matrix power by repeated squaring; negative n inverts first."""
+        """n-th matrix power M^n, in closed form when the eigenvalues are
+        rational.
+
+        The eigenvalues (a + d +- r)/2 are rational exactly when the
+        discriminant is a rational square r^2, the paper's scope.  Then
+        Sylvester's formula gives each entry from two rational powers:
+        (l1^n (M - l2 I) - l2^n (M - l1 I)) / r for distinct eigenvalues,
+        l^(n-1) (n M - (n-1) l I) for a fused eigenvalue l.  The formula is
+        applied entry by entry: the powers need no gcd, and each product
+        after them pairs a large operand with a small one.  Any other map is
+        powered by repeated squaring.  Negative n powers the adjugate
+        det M^-1, so power(-n) acts as f^-n but its coefficients are
+        det^n M^-n, not those of M^-n.
+        """
         if n < 0:
             return self.inverse().power(-n)
+        if n == 0:
+            return MoebiusMap.identity()
+        root = is_perfect_square(discriminant(self))
+        if root is not None:
+            entries = zip(self.coefficients(), (1, 0, 0, 1))
+            half_trace = (self.a + self.d) / 2
+            if root == 0:
+                scale = half_trace ** (n - 1)
+                return MoebiusMap._nonsingular(
+                    *(scale * (n * x - (n - 1) * half_trace * e) for x, e in entries)
+                )
+            l1, l2 = half_trace + root / 2, half_trace - root / 2
+            p1, p2 = l1**n, l2**n
+            return MoebiusMap._nonsingular(
+                *((p1 * (x - l2 * e) - p2 * (x - l1 * e)) / root for x, e in entries)
+            )
         result = MoebiusMap.identity()
         base = self
         while n:

@@ -11,6 +11,7 @@ import pytest
 
 from adelicdyn import cli as cli_module
 from adelicdyn.cli import COUNT, Value, cli, main
+from adelicdyn.dynamics import DEFAULT_BIT_GUARD
 from adelicdyn.exact import MAX_PRIME_SCAN
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 
@@ -293,8 +294,70 @@ def test_help_works_and_states_the_ranges(command):
     assert text.lower().count("nonnegative") == count_flags
     if command == "":
         assert str(MAX_PRIME_SCAN) in text
+        assert str(DEFAULT_BIT_GUARD) in text
     if command == "modular":
         assert "1..5" in text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_default_sphere_orbit_ends_printable(fmt):
+    # the orbit reaches Python's int/str digit limit near step 7142; the
+    # default bit guard is the largest size that prints, so it stops first
+    code, out, err = run_cli(["--format", fmt, *ITERATE_SPHERE])
+    assert code == 0
+    if fmt == "json":
+        assert err == b""
+        doc = json.loads(out)
+        assert doc["terminated_by"] == "overflow_guard"
+        n = len(doc["steps"])
+    else:
+        notice = re.fullmatch(rb"note: overflow_guard ended the orbit before step (\d+)\n", err)
+        assert notice, err[:300]
+        n = int(notice.group(1))
+        last = out.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        assert re.split(rb"[ ,]", last)[0] == str(n - 1).encode()
+    assert n > 7000
+
+
+def test_bit_guard_above_the_cap_is_a_resource_error():
+    result = run_cli(["--bit-guard", str(DEFAULT_BIT_GUARD + 1), *ITERATE_SPHERE])
+    assert_one_error_line(result, code=4)
+    assert f"cap {DEFAULT_BIT_GUARD}".encode() in result[2]
+    at_cap = ["--bit-guard", str(DEFAULT_BIT_GUARD), *ITERATE_SPHERE, "--steps", "2"]
+    assert run_cli(at_cap)[0] == 0
+
+
+POLE_ORBIT = [
+    "iterate", "--map", "1/2,0,1,2", "--x0", "-8/5", "--place", "real", "--xi", "0",
+]
+GUARDED_ORBIT = [
+    "--bit-guard", "5", "iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "real",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize(
+    "args,stop,n",
+    [(POLE_ORBIT, "pole_hit", 2), (GUARDED_ORBIT, "overflow_guard", 3)],
+    ids=["pole_hit", "overflow_guard"],
+)
+def test_cut_short_orbit_notice_on_stderr(fmt, args, stop, n):
+    # f(-8/5) = -2 is the pole; with 5 bits, x_3 = 1/106 is too long
+    code, out, err = run_cli(["--format", fmt, *args])
+    assert code == 0
+    assert err == f"note: {stop} ended the orbit before step {n}\n".encode()
+    assert len(out.splitlines()) == 1 + n  # the header and steps 0..n-1
+    code, out, err = run_cli(["--format", "json", *args])
+    assert (code, err) == (0, b"")
+    doc = json.loads(out)
+    assert doc["terminated_by"] == stop and len(doc["steps"]) == n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_orbit_that_runs_its_steps_writes_no_stderr(fmt):
+    code, out, err = run_cli(["--format", fmt, *ITERATE_SPHERE, "--steps", "3"])
+    assert (code, err) == (0, b"")
+    assert len(out.splitlines()) == 5
 
 
 def test_main_returns_on_success_and_ctrl_c_aborts(monkeypatch, capsys):

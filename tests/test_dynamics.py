@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adelicdyn import dynamics
 from adelicdyn.dynamics import (
+    DEFAULT_BIT_GUARD,
     AdelePoint,
     BehaviorEvidence,
     BehaviorVerdict,
@@ -36,6 +37,7 @@ from adelicdyn.errors import (
     PoleInput,
     ZeroInput,
 )
+from adelicdyn.exact import int_digit_limit
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL, padic_norm, place_norm
 from helpers import rand_rational, rand_square_disc_map
@@ -103,6 +105,34 @@ def test_overflow_guard_stops_growth():
         assert s.x.denominator.bit_length() <= 20
 
 
+def test_default_bit_guard_is_the_largest_printable_size():
+    limit = int_digit_limit()
+    if limit == 0:
+        assert DEFAULT_BIT_GUARD == 10**6
+        return
+    if limit == 4300:  # the interpreter's default
+        assert DEFAULT_BIT_GUARD == 14284
+    assert len(str(2**DEFAULT_BIT_GUARD - 1)) <= limit
+    assert 2 ** (DEFAULT_BIT_GUARD + 1) - 1 >= 10**limit  # has limit + 1 digits
+
+
+def _bits(r):
+    return max(r.numerator.bit_length(), r.denominator.bit_length())
+
+
+def test_default_bit_guard_keeps_distances_printable():
+    # xi = 1/3^2000 has a 3170-bit denominator, which |x - xi| carries on
+    # top of x's: here the guard must stop on the distance, not on x
+    xi, other, lam = Fraction(1, 3**2000), Fraction(1), Fraction(1, 2**20)
+    m = MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
+    record = iterate_at_place(m, 2, xi, REAL, max_steps=10**5)
+    assert record.terminated_by is Termination.OVERFLOW_GUARD
+    for step in record.steps:
+        str(step.x), str(step.dist)  # ValueError past the digit limit
+    next_x = m.apply(record.steps[-1].x)
+    assert _bits(next_x) <= DEFAULT_BIT_GUARD < _bits(next_x - xi)
+
+
 def test_threshold_convergence_terminates_early():
     record = iterate_at_place(CASE_A_MAP, 1, 0, REAL, max_steps=10_000)
     assert record.terminated_by is Termination.CONVERGED
@@ -156,6 +186,8 @@ def reference_orbit(m, x0, xi, v, max_steps, bit_guard, threshold, window):
         if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_guard:
             return record(Termination.OVERFLOW_GUARD)
         dist = definition_norm(x - xi, v)
+        if max(dist.numerator.bit_length(), dist.denominator.bit_length()) > bit_guard:
+            return record(Termination.OVERFLOW_GUARD)
         run = run + 1 if dist < steps[-1].dist else 0
         steps.append(Step(n, x, dist))
         if x == xi or (dist < threshold and run >= window):

@@ -23,6 +23,7 @@ from adelicdyn.moebius import (
     fixed_points,
     modular_family,
 )
+from adelicdyn.exact import is_perfect_square
 from helpers import rand_map, rand_nonzero, rand_rational, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
@@ -142,12 +143,111 @@ def test_negative_power_inverts():
 
 
 def test_huge_power_stays_fast():
-    # square-and-multiply: 2^20 costs 20 squarings, not a million products
+    # the discriminant 5 is not a square, so this covers the squaring path:
+    # 2^20 costs 20 squarings, not a million products
     m = MoebiusMap(2, 1, 1, 1)
+    assert is_perfect_square(discriminant(m)) is None
     big = m.power(2**20)
     assert big.det == 1
     half = m.power(2**19)
     assert big == half.compose(half)
+
+
+def _squaring_power(m, n):
+    """The oracle: M^n by repeated squaring of coefficient tuples; negative
+    n powers the adjugate (d, -b, -c, a)."""
+    base = m.coefficients()
+    if n < 0:
+        a, b, c, d = base
+        base, n = (d, -b, -c, a), -n
+    result = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            result = _matrix_product(result, base)
+        base = _matrix_product(base, base)
+        n >>= 1
+    return MoebiusMap(*result)
+
+
+def _conjugate(rng, upper):
+    """P U P^-1 for a random integer P: the same eigenvalues as U."""
+    while True:
+        p = tuple(rng.randint(-5, 5) for _ in range(4))
+        det = p[0] * p[3] - p[1] * p[2]
+        if det:
+            break
+    adjugate = (p[3], -p[1], -p[2], p[0])
+    product = _matrix_product(_matrix_product(p, upper), adjugate)
+    return MoebiusMap(*(Fraction(x) / det for x in product))
+
+
+def _power_inputs():
+    """Maps in scope (rational eigenvalues) and off it, by name."""
+    rng = random.Random(137)
+    maps = []
+    for _ in range(6):
+        l1, l2 = rand_nonzero(rng, 9), rand_nonzero(rng, 9)
+        if l1 != l2:
+            maps.append(("distinct", _conjugate(rng, (l1, 0, 0, l2))))
+    for lam in (Fraction(3), Fraction(-2, 5)):
+        maps.append(("negative", _conjugate(rng, (-abs(lam), 1, 0, abs(lam) + 1))))
+        maps.append(("negative", _conjugate(rng, (-abs(lam), 0, 0, -1 / abs(lam)))))
+        maps.append(("trace 0", _conjugate(rng, (lam, 0, 0, -lam))))
+    maps.append(("trace 0", MoebiusMap(0, 1, 1, 0)))
+    maps += [("det 1", rand_square_disc_map(rng, height=9)) for _ in range(3)]
+    lam = Fraction(2, 3)
+    maps += [
+        ("fused", MoebiusMap(Fraction(-3, 7), 0, 0, Fraction(-3, 7))),  # scalar
+        ("fused", MoebiusMap(Fraction(5, 2), Fraction(-4, 3), 0, Fraction(5, 2))),
+        ("fused", MoebiusMap(lam + 1, -1, 1, lam - 1)),
+        ("fused", _conjugate(rng, (lam, 1, 0, lam))),
+        ("fused", rand_square_disc_map(rng, height=9, fused=True)),
+    ]
+    for _ in range(4):
+        a, d = rand_nonzero(rng, 9), rand_nonzero(rng, 9)
+        maps.append(("lower triangular", MoebiusMap(a, 0, rand_rational(rng, 9), d)))
+    maps.append(("lower triangular", MoebiusMap(2, 0, Fraction(-5, 3), Fraction(1, 2))))
+    while sum(kind == "off scope" for kind, _ in maps) < 4:
+        m = rand_map(rng, height=9)
+        if is_perfect_square(discriminant(m)) is None:
+            maps.append(("off scope", m))
+    return maps, rng
+
+
+def test_power_matches_repeated_squaring():
+    maps, rng = _power_inputs()
+    kinds = set()
+    for kind, m in maps:
+        root = is_perfect_square(discriminant(m))
+        assert (root is None) == (kind == "off scope"), (kind, m)
+        assert (root == 0) == (kind == "fused"), (kind, m)
+        exponents = [0, 1, 2, rng.randint(3, 200), 2 ** rng.randint(6, 10)]
+        exponents += [-1, -2, -rng.randint(3, 200)]
+        for n in exponents:
+            assert m.power(n) == _squaring_power(m, n), (kind, m, n)
+        kinds.add(kind)
+    assert kinds == {
+        "distinct", "negative", "trace 0", "det 1", "fused", "lower triangular",
+        "off scope",
+    }
+
+
+def test_in_scope_power_makes_no_matrix_products(monkeypatch):
+    calls = []
+    compose = MoebiusMap.compose
+
+    def counting_compose(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(MoebiusMap, "compose", counting_compose)
+    n = 2**20
+    big = CASE_A_MAP.power(n)
+    assert calls == []
+    low, high = Fraction(1, 2**n), Fraction(2**n)
+    assert big == MoebiusMap(low, 0, (low - high) / Fraction(-3, 2), high)
+    MoebiusMap(2, 1, 1, 1).power(3)  # off scope: the counter does see squaring
+    assert calls
 
 
 def test_rescale_examples():
