@@ -30,7 +30,7 @@ from .errors import (
 )
 from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto
 from .moebius import MoebiusMap, fixed_points
-from .padic import Place, norm_support, padic_norm, place_norm
+from .padic import Place, norm_support, place_norm
 
 
 class Stability(str, Enum):
@@ -324,16 +324,18 @@ def audit_cofinite_indifference(
 ) -> list[IndifferenceAudit]:
     """Verify indifference at every prime <= scan_limit off the exceptional set.
 
-    The exceptional set is the multiplier's `norm_support`; each scanned
-    prime is checked on its own, as classify_at_place would do.
+    The exceptional set is the multiplier's `norm_support` (trial division);
+    each sieved prime p is decided by the definition: |q|_p = 1 exactly when
+    p divides neither part of q = f'(xi) in lowest terms.
     """
     audits = []
     for xi in fixed_points(m).points:
         multiplier = m.derivative_at(xi)
         exceptional = tuple(v.p for v, _ in norm_support(multiplier, bound)[1:])
+        num, den = multiplier.numerator, multiplier.denominator
         offenders = []
         for p in primes_upto(scan_limit):
-            indifferent = padic_norm(multiplier, p) == 1
+            indifferent = num % p != 0 and den % p != 0
             if indifferent == (p in exceptional):
                 offenders.append(p)
         audits.append(

@@ -26,6 +26,7 @@ from .errors import (
     NotIndifferent,
     PoleAtPlace,
     PoleInput,
+    ResourceLimitError,
     ZeroInput,
 )
 from .exact import (
@@ -96,7 +97,8 @@ def iterate_at_place(
     bound).  This is the only convergence test in the library.  The orbit
     stops by the bit guard before recording a step whose x or dist has a
     numerator or denominator longer than `bit_guard` bits; dist can outgrow
-    x by the bits of xi.  At the default every recorded value prints.
+    x by the bits of xi.  A start (step 0) that already passes the guard
+    raises ResourceLimitError.  At the default every recorded value prints.
 
     The map's denominators are cleared once into an integer matrix
     (a, b, c, d), which acts on the point as the pair num/den: a step is
@@ -143,7 +145,14 @@ def iterate_at_place(
     # `near` can trip the guard
     near = bit_guard - max(xi_num.bit_length(), xi_den.bit_length()) - 1
     num, den = x0.numerator, x0.denominator
-    steps = [Step(0, x0, distance(num, den))]
+    dist = distance(num, den)
+    size = max(k.bit_length() for k in (num, den, dist.numerator, dist.denominator))
+    if size > bit_guard:
+        raise ResourceLimitError(
+            f"the orbit starts with a {size}-bit numerator or denominator,"
+            f" above the bit guard of {bit_guard} bits"
+        )
+    steps = [Step(0, x0, dist)]
     terminated = Termination.MAX_STEPS
     decreasing_run = 0
     if x0 == xi:
@@ -315,7 +324,8 @@ def basin_sample(
     Enumeration is by denominator then numerator, each rational exactly
     once, the pole skipped.  Each orbit comes from `iterate_at_place` and
     its verdict from `detect_behavior`, so a trajectory shorter than WINDOW
-    steps (early pole hit or overflow) is undetermined rather than raising.
+    steps (early pole hit or overflow) is undetermined rather than raising;
+    only a start past the bit guard raises.
     """
     xi = Fraction(xi)
     pole = m.pole

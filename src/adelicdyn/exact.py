@@ -166,8 +166,11 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
         if d * d > m or m <= bound * bound:
             factors.append((m, 1))
         else:
+            # here bound < d <= isqrt(m), and trial division to isqrt(m)
+            # always completes (see is_prime)
             raise FactorizationIncomplete(
-                f"cofactor {m} of {n} may be composite (bound {bound})"
+                f"cofactor {m} of {n} may be composite (bound {bound}); "
+                f"a factor bound of {math.isqrt(m)} decides it"
             )
     return Factorization(sign, tuple(factors))
 

@@ -121,7 +121,6 @@ def padic_expansion(r: RationalLike, p: int, n_digits: int) -> PAdicExpansion:
     denominator); the remainder after subtracting it is divisible by p, so
     the partial sum agrees with r to within p^-(nu + n_digits).
     """
-    _check_prime(p)
     r = Fraction(r)
     if r == 0:
         raise ZeroInput("0 has no valuation, hence no canonical expansion")

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from adelicdyn import padic
+from adelicdyn import classification, padic
 from adelicdyn.classification import (
     AdelicFixedPointReport,
     CaseTag,
+    IndifferenceAudit,
     Stability,
     adelic_report,
     audit_cofinite_indifference,
@@ -32,9 +33,9 @@ from adelicdyn.errors import (
     ResourceLimitError,
     ZeroInput,
 )
-from adelicdyn.exact import MAX_PRIME_SCAN, factorize
+from adelicdyn.exact import DEFAULT_FACTOR_BOUND, MAX_PRIME_SCAN, factorize, primes_upto
 from adelicdyn.moebius import MoebiusMap, fixed_points
-from adelicdyn.padic import Place, REAL
+from adelicdyn.padic import Place, REAL, norm_support, padic_norm
 from helpers import rand_nonzero, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
@@ -255,6 +256,95 @@ def test_audit_runs_clean_on_fixtures():
         for audit in audit_cofinite_indifference(m, scan_limit=200):
             assert audit.ok
             assert audit.offenders == ()
+
+
+def reference_audit(m, scan_limit, support=norm_support):
+    """The audit with the per-prime rule it had before: |q|_p == 1 by
+    `padic_norm`, which proves p prime again."""
+    audits = []
+    for xi in fixed_points(m).points:
+        q = m.derivative_at(xi)
+        exceptional = tuple(v.p for v, _ in support(q, DEFAULT_FACTOR_BOUND)[1:])
+        offenders = tuple(
+            p
+            for p in primes_upto(scan_limit)
+            if (padic_norm(q, p) == 1) == (p in exceptional)
+        )
+        audits.append(IndifferenceAudit(xi, scan_limit, exceptional, offenders))
+    return audits
+
+
+def map_with_multiplier(lam, xi, other):
+    """The map with fixed points xi != other and f'(xi) = lam (f'(other) = 1/lam)."""
+    return MoebiusMap(
+        lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other
+    )
+
+
+def support_dropping_a_prime(r, bound):
+    support = norm_support(r, bound)
+    return support[:1] + support[2:]  # the smallest exceptional prime is lost
+
+
+def support_adding_a_prime(r, bound):
+    q = Fraction(r)
+    p = next(p for p in primes_upto(100) if q.numerator % p and q.denominator % p)
+    real, *finite = norm_support(r, bound)
+    return (real, *sorted((*finite, (Place(p), Fraction(1))), key=lambda e: e[0].p))
+
+
+#: Primes on either side of the scan limits 2, 300 and 2000.
+NEAR_THE_LIMITS = (2, 3, 293, 307, 1999, 2003)
+
+
+def test_audit_matches_the_padic_norm_rule(monkeypatch):
+    # multipliers carry primes just below and just above each scan limit;
+    # with a faulty support (patched into both sides) the offenders agree too
+    rng = random.Random(37)
+    maps = [CASE_A_MAP, CASE_B_MAP, CASE_C_MAP]
+    for _ in range(12):
+        parts = [1, 1]
+        for p in rng.sample(NEAR_THE_LIMITS + (5, 7, 11), 3):
+            parts[rng.randrange(2)] *= p ** rng.randint(1, 2)
+        lam = Fraction(*parts) * rng.choice((1, -1))
+        if lam in (1, -1):
+            continue
+        xi, other = rand_nonzero(rng, 9), rand_nonzero(rng, 9)
+        if xi != other:
+            maps.append(map_with_multiplier(lam, xi, other))
+    maps += [rand_square_disc_map(rng, height=30) for _ in range(8)]
+    for support in (norm_support, support_dropping_a_prime, support_adding_a_prime):
+        monkeypatch.setattr(classification, "norm_support", support)
+        for m in maps:
+            for scan_limit in (0, 1, 2, 300, 2000):
+                expected = reference_audit(m, scan_limit, support)
+                assert audit_cofinite_indifference(m, scan_limit) == expected
+
+
+def test_audit_catches_a_faulty_support(monkeypatch):
+    m = map_with_multiplier(Fraction(10, 21), Fraction(1, 3), Fraction(-2))
+    for audit in audit_cofinite_indifference(m, 100):
+        assert audit.ok and audit.exceptional == (2, 3, 5, 7)
+    monkeypatch.setattr(classification, "norm_support", support_dropping_a_prime)
+    for audit in audit_cofinite_indifference(m, 100):
+        assert audit.exceptional == (3, 5, 7)
+        assert audit.offenders == (2,) and not audit.ok
+    monkeypatch.setattr(classification, "norm_support", support_adding_a_prime)
+    for audit in audit_cofinite_indifference(m, 100):
+        assert audit.exceptional == (2, 3, 5, 7, 11)  # 11 divides nothing
+        assert audit.offenders == (11,) and not audit.ok
+
+
+def test_audit_proves_no_scanned_prime_again(monkeypatch):
+    # the sieve proved every scanned prime; only the exceptional primes are
+    # proved, by `norm_support` (in Place(p) and again in its place norm)
+    calls = []
+    is_prime = padic.is_prime
+    monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    audits = audit_cofinite_indifference(CASE_A_MAP, 10**5)
+    assert all(audit.ok for audit in audits)
+    assert set(calls) <= {p for audit in audits for p in audit.exceptional}
+    assert len(calls) <= 2 * sum(len(audit.exceptional) for audit in audits)
 
 
 def test_audit_refuses_a_scan_above_the_cap():

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import sys
+from fractions import Fraction
 
 import click
 import pytest
@@ -81,6 +82,13 @@ def test_exit_code_resource_guard():
     )
     assert code == 4
     assert b"cofactor" in err
+
+
+def test_factorization_error_names_the_bound_that_decides_it():
+    result = run_cli(["--factor-bound", "2", "product-formula", "-r", "25"])
+    assert_one_error_line(result, code=4)
+    assert result[2].endswith(b"; a factor bound of 5 decides it\n")
+    assert run_cli(["--factor-bound", "5", "product-formula", "-r", "25"])[0] == 0
 
 
 def test_audit_above_the_prime_scan_cap_is_a_resource_error():
@@ -358,6 +366,40 @@ def test_orbit_that_runs_its_steps_writes_no_stderr(fmt):
     code, out, err = run_cli(["--format", fmt, *ITERATE_SPHERE, "--steps", "3"])
     assert (code, err) == (0, b"")
     assert len(out.splitlines()) == 5
+
+
+def _map_fixing(xi):
+    """'a,b,c,d' of the map with fixed points xi and 1, multiplier 2 at xi."""
+    coeffs = (2 * xi - 1, -xi, 1, xi - 2)
+    return ",".join(str(k) for k in coeffs)
+
+
+XI_2000, XI_9010 = Fraction(1, 3**2000), Fraction(1, 3**9010)
+START_PAST_THE_GUARD = {
+    # x0 prints, but |x0 - xi| has a denominator of about 5200 digits
+    "iterate": [
+        "iterate", "--map", _map_fixing(XI_2000), "--xi", str(XI_2000),
+        "--x0", "1/" + "7" * 4290, "--place", "real", "--steps", "1",
+    ],
+    # xi's denominator has 14281 bits; the first start, x0 = -16, is already
+    # at a distance with a 14285-bit numerator
+    "basin": [
+        "basin", "--map", _map_fixing(XI_9010), "--xi", str(XI_9010),
+        "--place", "real", "--height", "16",
+    ],
+    "bit-guard-0": ["--bit-guard", "0", *GUARDED_ORBIT[2:]],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("name", list(START_PAST_THE_GUARD))
+def test_a_start_past_the_bit_guard_is_a_resource_error(name, fmt):
+    result = run_cli(["--format", fmt, *START_PAST_THE_GUARD[name]])
+    assert_one_error_line(result, code=4)
+    assert re.search(
+        rb"a \d+-bit numerator or denominator, above the bit guard",
+        result[2],
+    )
 
 
 def test_main_returns_on_success_and_ctrl_c_aborts(monkeypatch, capsys):

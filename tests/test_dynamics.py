@@ -35,6 +35,7 @@ from adelicdyn.errors import (
     NotIndifferent,
     PoleAtPlace,
     PoleInput,
+    ResourceLimitError,
     ZeroInput,
 )
 from adelicdyn.exact import int_digit_limit
@@ -133,6 +134,25 @@ def test_default_bit_guard_keeps_distances_printable():
     assert _bits(next_x) <= DEFAULT_BIT_GUARD < _bits(next_x - xi)
 
 
+def test_a_start_past_the_bit_guard_is_a_resource_error():
+    # a part exactly bit_guard bits long passes; one bit more raises, and
+    # the message names the guard and the size
+    x0 = Fraction(2**20 - 1)
+    assert len(iterate_at_place(CASE_A_MAP, x0, 0, REAL, 0, bit_guard=20).steps) == 1
+    with pytest.raises(ResourceLimitError, match=r"20-bit .* 19 bits"):
+        iterate_at_place(CASE_A_MAP, x0, 0, REAL, 0, bit_guard=19)
+    # x0 = 2 fits, but its distance to xi = 1/3^2000 carries xi's 3170 bits
+    xi, other, lam = Fraction(1, 3**2000), Fraction(1), Fraction(2)
+    m = MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
+    size = _bits(2 - xi)
+    assert _bits(Fraction(2)) < 100 < size
+    iterate_at_place(m, 2, xi, REAL, 0, bit_guard=size)
+    with pytest.raises(ResourceLimitError, match=f"{size}-bit .* {size - 1} bits"):
+        iterate_at_place(m, 2, xi, REAL, 0, bit_guard=size - 1)
+    with pytest.raises(ResourceLimitError):
+        basin_sample(m, xi, REAL, 1, max_steps=0, bit_guard=100)
+
+
 def test_threshold_convergence_terminates_early():
     record = iterate_at_place(CASE_A_MAP, 1, 0, REAL, max_steps=10_000)
     assert record.terminated_by is Termination.CONVERGED
@@ -172,6 +192,8 @@ def reference_orbit(m, x0, xi, v, max_steps, bit_guard, threshold, window):
     a, b, c, d = m.coefficients()
     x, xi = Fraction(x0), Fraction(xi)
     steps = [Step(0, x, definition_norm(x - xi, v))]
+    if max(_bits(x), _bits(steps[0].dist)) > bit_guard:
+        raise ResourceLimitError("the start passes the bit guard")
 
     def record(stop):
         return TrajectoryRecord(v, xi, tuple(steps), stop)
@@ -246,10 +268,16 @@ def test_orbit_matches_the_definitions(monkeypatch):
         window = rng.choice((1, 3, 16))
         monkeypatch.setattr(dynamics, "WINDOW", window)
         monkeypatch.setattr(dynamics, "CONVERGENCE_THRESHOLD", threshold)
+        try:
+            expected = reference_orbit(
+                m, x0, xi, v, max_steps, bit_guard, threshold, window
+            )
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+            continue
         record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
-        assert record == reference_orbit(
-            m, x0, xi, v, max_steps, bit_guard, threshold, window
-        )
+        assert record == expected
         assert all(
             type(s.x) is Fraction and type(s.dist) is Fraction for s in record.steps
         )
@@ -361,6 +389,12 @@ def test_verdicts_match_the_rules_with_a_second_convergence_test():
         cases.append((m, xi, v, x0, max_steps, bit_guard))
     kinds, stops = set(), set()
     for m, xi, v, x0, max_steps, bit_guard in cases:
+        try:
+            reference_orbit(m, x0, xi, v, 0, bit_guard, Fraction(1, 2**40), 16)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+            continue
         record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
         verdict = detect_behavior(record, m)
         assert verdict == reference_verdict(record, m)

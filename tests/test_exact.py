@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -194,6 +195,30 @@ def test_factorize_large_prime_cofactor_within_bound_squared():
 def test_factorize_incomplete_above_bound_squared():
     with pytest.raises(FactorizationIncomplete):
         factorize(101 * 103, bound=100)
+
+
+def test_factorization_error_names_a_bound_that_decides():
+    # products of primes above the bound, times small primes below it; the
+    # error names isqrt of the cofactor, which is above the failed bound and
+    # with which the factorization completes
+    rng = random.Random(29)
+    pairs = []
+    while len(pairs) < 60:
+        bound = rng.choice((2, 3, 4, 5, 10, 30, 100, 1000))
+        count = rng.randint(2, 3)
+        big = [sympy.nextprime(bound * rng.randint(1, 50)) for _ in range(count)]
+        small = [rng.choice((2, 3, 5, 7)) for _ in range(rng.randint(0, 3))]
+        n = math.prod(big + small) * rng.choice((1, -1))
+        try:
+            factorize(n, bound)
+        except FactorizationIncomplete as exc:
+            pairs.append((n, bound, str(exc)))
+    for n, bound, message in pairs:
+        named = int(re.search(r"; a factor bound of (\d+) decides it$", message)[1])
+        assert named > bound
+        fact = factorize(n, named)
+        assert dict(fact.factors) == sympy.factorint(abs(n))
+        assert fact.value() == n
 
 
 def test_factorize_minimal_bound_stays_correct():

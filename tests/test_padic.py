@@ -206,6 +206,13 @@ def test_expansion_rejects_zero_and_bad_precision():
         padic_expansion(1, 3, 0)
 
 
+def test_expansion_rejects_composites():
+    # the prime check is valuation's, which the expansion calls
+    for r in (Fraction(1, 3), Fraction(8), Fraction(-7, 2)):
+        with pytest.raises(NotPrime):
+            padic_expansion(r, 4, 3)
+
+
 def test_expansion_serialization_shape():
     e = padic_expansion(Fraction(9, 2), 3, 4)
     d = e.to_dict()
