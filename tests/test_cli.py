@@ -3,7 +3,9 @@
 import ast
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -157,6 +159,91 @@ def test_env_var_overrides_subcommand_flags():
     )
     assert code == 0
     assert out.splitlines()[-1].split() == [b"product", b"1"]
+
+
+def test_env_var_names_come_from_the_last_long_flag():
+    env = {"ADELICDYN_FORMAT": "json", "ADELICDYN_MODULAR_PARAM": "2"}
+    code, out, _ = run_cli(["modular", "--family", "1"], env_extra=env)
+    assert code == 0
+    assert json.loads(out)["param"] == 2
+
+
+ADELE_FROM_ENV = [
+    "--format", "json",
+    "adele-step", "--map", "1/2,0,1,2", "--real", "1", "--elsewhere", "1",
+]
+
+
+def _listed_primes(out):
+    return [c["p"] for c in json.loads(out)["input"]["components"]]
+
+
+def test_env_var_lists_each_repeated_value():
+    env = {"ADELICDYN_ADELE_STEP_AT": "2=1/2 3=1"}
+    code, out, _ = run_cli(ADELE_FROM_ENV, env_extra=env)
+    assert code == 0
+    assert _listed_primes(out) == [2, 3]
+    # values on the command line replace the environment's, as for every flag
+    code, out, _ = run_cli([*ADELE_FROM_ENV, "--at", "5=1"], env_extra=env)
+    assert code == 0
+    assert _listed_primes(out) == [5]
+
+
+def test_env_value_is_read_only_for_the_command_that_runs():
+    env = {"ADELICDYN_ADELE_STEP_AT": "2=x"}
+    assert run_cli(["classify", "--map", "1/2,0,1,2"], env_extra=env)[0] == 0
+    result = run_cli(ADELE_FROM_ENV, env_extra=env)
+    assert_one_error_line(result)
+    assert b"'--at'" in result[2]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--map", "-1/2,0,1,-2"],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "-1/3", "--place", "3", "--steps", "2"],
+        ["cross-ratio", "--map", "1/2,0,1,2", "--points", "-1,0,1,3"],
+    ],
+    ids=["map", "x0", "points"],
+)
+def test_negative_values_are_values_not_flags(args):
+    assert run_cli(args)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--form", "json", "classify", "--map", "1/2,0,1,2"],
+        ["classify", "--ma", "1/2,0,1,2"],
+        ["product-formula", "--rat", "6"],
+    ],
+    ids=["global", "subcommand", "long-name"],
+)
+def test_flag_abbreviations_are_refused(args):
+    assert_one_error_line(run_cli(args))
+
+
+#: Exit codes when the reader closes the pipe after a few bytes.  The json
+#: and csv documents go out in one write, which the closed pipe cuts short
+#: without an error; the table goes out row by row, and a later row fails.
+CLOSED_PIPE_EXIT = {"json": 0, "csv": 0, "table": 1}
+
+
+@pytest.mark.parametrize("fmt", sorted(CLOSED_PIPE_EXIT))
+def test_a_closed_stdout_ends_quietly(fmt):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adelicdyn", "--format", fmt, *ITERATE_SPHERE],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == CLOSED_PIPE_EXIT[fmt]
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err[:300]
 
 
 def test_csv_output():
