@@ -16,9 +16,9 @@ with `adelic_report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CaseMismatch,
@@ -47,8 +47,7 @@ def stability_from_norm(norm: Fraction) -> Stability:
     return Stability.INDIFFERENT
 
 
-@dataclass(frozen=True)
-class PlaceClassification:
+class PlaceClassification(NamedTuple):
     """Stability of one fixed point at one place; kind mirrors the norm."""
 
     place: Place
@@ -72,8 +71,7 @@ def classify_at_place(m: MoebiusMap, xi: RationalLike, v: Place) -> PlaceClassif
     return PlaceClassification(v, stability_from_norm(norm), norm)
 
 
-@dataclass(frozen=True)
-class ExceptionalSets:
+class ExceptionalSets(NamedTuple):
     """The finitely many primes where |generator|_p != 1.
 
     `numerator_primes` divide the numerator (norm < 1 there) and
@@ -102,8 +100,7 @@ def exceptional_primes(
     )
 
 
-@dataclass(frozen=True)
-class AdelicFixedPointReport:
+class AdelicFixedPointReport(NamedTuple):
     """One rational fixed point seen from every place.
 
     `finite_exceptions` lists, by ascending prime, exactly the places where
@@ -293,8 +290,7 @@ def _unit_sign(sign: int) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class IndifferenceAudit:
+class IndifferenceAudit(NamedTuple):
     """Scan result: primes <= scan_limit must be indifferent off the
     exceptional set and non-indifferent on it."""
 

@@ -4,12 +4,13 @@ Every subcommand writes one machine-readable document to stdout (a single
 JSON document, CSV rows, or an aligned table) and keeps diagnostics on
 stderr; csv and table rows are read from the JSON document.  Exit codes
 are a stable contract: 0 success, 2 bad input, 3 mathematics outside the
-rational scope, 4 a tripped resource guard.  Every failure, click's usage
-errors included, leaves through `main()` as one `error:` line on stderr.
-A flag's value is read by a library parser (the `Value` type), so its error
-names the flag and quotes malformed text only up to `exact.QUOTE_CHARS`
-characters.  All flags can also be set through ADELICDYN_* environment
-variables.
+rational scope, 4 a tripped resource guard.  Every failure, the argument
+parser's included, leaves through `main()` as one `error:` line on stderr.
+Every flag is one row of the table `COMMANDS`; its value is read by a
+library parser, so its error names the flag and quotes malformed text only
+up to `exact.QUOTE_CHARS` characters.  All flags can also be set through
+ADELICDYN_* environment variables.  The command line is read with the
+standard library's argparse: the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import re
 import sys
-from dataclasses import dataclass
+from argparse import ArgumentParser, Namespace
 from fractions import Fraction
-
-import click
+from functools import partial
 
 from .classification import (
     CaseTag,
@@ -74,22 +76,6 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
 
-class Value(click.ParamType):
-    """A flag read by one library parser; its InputError names the flag."""
-
-    def __init__(self, name: str, parse):
-        self.name = name
-        self.parse = parse
-
-    def convert(self, value, param, ctx):
-        if not isinstance(value, str):  # a default
-            return value
-        try:
-            return self.parse(value)
-        except InputError as exc:
-            raise InputError(f"{param.get_error_hint(ctx)}: {exc}") from exc
-
-
 def _prime_and_value(text: str) -> tuple[int, Fraction]:
     """One 'p=x' component of an adele; p must be a prime."""
     prime_text, _, value_text = text.partition("=")
@@ -99,90 +85,97 @@ def _prime_and_value(text: str) -> tuple[int, Fraction]:
     return p, parse_rational(value_text)
 
 
-INTEGER = Value("integer", lambda s: parse_integer(s, "an integer"))
+INTEGER = partial(parse_integer, what="an integer")
 #: Counts and limits; a negative value is bad input (exit 2).
-COUNT = Value("integer", lambda s: parse_integer(s, "a nonnegative integer", False))
+COUNT = partial(parse_integer, what="a nonnegative integer", signed=False)
 # parse_rational is looked up per call, as the module-level name that
 # perfbench's tracer rebinds
-RATIONAL = Value("rational", lambda s: parse_rational(s))
-MAP = Value("a,b,c,d", MoebiusMap.from_string)
-PLACE = Value("place", Place.from_string)
-POINTS = Value("x1,x2,x3,x4", lambda s: parse_rationals(s, 4))
-COMPONENT = Value("p=x", _prime_and_value)
-SIGN = click.Choice(["+", "-"])
+RATIONAL = lambda s: parse_rational(s)
+MAP = MoebiusMap.from_string
+PLACE = Place.from_string
+POINTS = partial(parse_rationals, count=4)
+COMPONENT = _prime_and_value
+SIGN = ("+", "-")
+#: The default of a flag that must be given.
+REQUIRED = object()
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by all subcommands, as set by the global options."""
+def _read(names: list[str], kind, text: str):
+    """A flag's value: `kind` is a library parser or a tuple of choices.
+    The InputError names the flag."""
+    try:
+        if not isinstance(kind, tuple):
+            return kind(text)
+        if text not in kind:
+            raise ParseError(f"{quote(text)} is not one of {str(kind)[1:-1]}")
+        return text
+    except InputError as exc:
+        raise InputError(f"{' / '.join(map(repr, names))}: {exc}") from exc
 
-    fmt: str
-    factor_bound: int
-    max_steps: int
-    bit_guard: int
-    audit_primes: int | None
+
+class Parser(ArgumentParser):
+    """The parser of one entry of `COMMANDS`; the global entry "" adds one
+    sub-parser per subcommand.  An error raises InputError (exit 2)."""
+
+    def __init__(self, command: str = "", **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # a private attribute: stock argparse reads '-3' as a value but
+        # '-10/21' or '-1/2,0,1,-2' as an unknown flag; here a '-' before a
+        # digit always starts a value
+        self._negative_number_matcher = re.compile(r"-\d")
+        self.flags = []  # (dest, environment value, reader, default)
+        run, *flags = COMMANDS[command]
+        for spec, kind, default, text in flags:
+            names = spec.split("/")
+            dest = names[-1].lstrip("-").replace("-", "_")
+            env = "_".join(filter(None, ("ADELICDYN", command, dest)))
+            env = os.environ.get(env.upper().replace("-", "_"))
+            read = partial(_read, names, kind)
+            self.flags.append((dest, env, read, default))
+            if default not in (None, REQUIRED, ()):
+                text += f" [default: {default}]"
+            self.add_argument(
+                *names, dest=dest, type=read, help=text,
+                choices=kind if isinstance(kind, tuple) else None,
+                action="append" if default == () else "store",
+                required=default is REQUIRED and not env)
+        if run is None:
+            sub = self.add_subparsers(dest="command", required=True, metavar="COMMAND")
+            for name, (run, *_) in list(COMMANDS.items())[1:]:
+                sub.add_parser(name, command=name, help=run.__doc__, description=run.__doc__)
+            self.commands = sub.choices
+
+    def values(self, args: Namespace) -> dict:
+        """Each flag from the command line, else its ADELICDYN_[COMMAND_]NAME
+        variable (split at whitespace if it may repeat), else its default."""
+        values = {}
+        for dest, env, read, default in self.flags:
+            value = getattr(args, dest)
+            if value is None and env:
+                value = read(env) if default != () else [read(v) for v in env.split()]
+            values[dest] = default if value is None else value
+        return values
+
+    def error(self, message):
+        raise InputError(message)
 
 
-def emit(cfg: RunConfig, doc: dict, header: list[str], rows: list[list[str]]) -> None:
-    """Write `doc` as JSON, or the csv/table rows read from it."""
-    if cfg.fmt == "json":
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+def emit(cfg: Namespace, doc: dict, header: list[str], rows: list[list[str]]) -> None:
+    """Write `doc` as JSON, or the csv/table rows read from it.  JSON and csv
+    leave in one write, a table row by row: on an unbuffered stdout, a
+    closed pipe cuts the one write short quietly but fails a later row."""
+    if cfg.format == "json":
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
     table = [header, *rows]
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(table)
-        click.echo(buf.getvalue(), nl=False)
+        sys.stdout.write(buf.getvalue())
         return
     widths = [max(len(cell) for cell in column) for column in zip(*table)]
     for row in table:
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
-@click.group(no_args_is_help=False)  # no arguments: one "Missing command." line
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "table"]),
-    default="table",
-    show_default=True,
-    envvar="ADELICDYN_FORMAT",
-    help="Output format on stdout.",
-)
-@click.option(
-    "--factor-bound", type=INTEGER, default=DEFAULT_FACTOR_BOUND, show_default=True
-)
-@click.option(
-    "--max-steps",
-    type=COUNT,
-    default=DEFAULT_MAX_STEPS,
-    show_default=True,
-    help="Step budget of each orbit (nonnegative).",
-)
-@click.option(
-    "--bit-guard",
-    type=COUNT,
-    default=DEFAULT_BIT_GUARD,
-    show_default=True,
-    help="End an orbit before a point or distance whose numerator or denominator "
-    f"passes this many bits (nonnegative, at most {DEFAULT_BIT_GUARD}, the largest "
-    "size that prints).",
-)
-@click.option(
-    "--audit-primes",
-    type=COUNT,
-    default=None,
-    help="Re-verify cofinite indifference for all primes up to N "
-    f"(nonnegative, at most {MAX_PRIME_SCAN}).",
-)
-@click.pass_context
-def cli(ctx, **params):
-    """Exact Moebius dynamics over the real and all p-adic places."""
-    ctx.obj = RunConfig(**params)
-    if ctx.obj.bit_guard > DEFAULT_BIT_GUARD:
-        raise ResourceLimitError(
-            f"--bit-guard {ctx.obj.bit_guard} is above the cap {DEFAULT_BIT_GUARD} bits"
-        )
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _case_tags(m: MoebiusMap) -> list[str]:
@@ -192,7 +185,7 @@ def _case_tags(m: MoebiusMap) -> list[str]:
     return sorted(tag.value for tag in recognize_case(m.rescale_to_unit_det()))
 
 
-def _classification_doc(cfg: RunConfig, m: MoebiusMap) -> dict:
+def _classification_doc(cfg: Namespace, m: MoebiusMap) -> dict:
     reports = adelic_report(m, cfg.factor_bound)
     doc = {
         "map": m.to_dict(),
@@ -209,7 +202,7 @@ def _classification_doc(cfg: RunConfig, m: MoebiusMap) -> dict:
     return doc
 
 
-def _emit_classification(cfg: RunConfig, doc: dict) -> None:
+def _emit_classification(cfg: Namespace, doc: dict) -> None:
     rows = [
         [report["xi"], entry["place"], entry["kind"], entry["multiplier_norm"]]
         for report in doc["reports"]
@@ -218,10 +211,7 @@ def _emit_classification(cfg: RunConfig, doc: dict) -> None:
     emit(cfg, doc, ["xi", "place", "kind", "multiplier_norm"], rows)
 
 
-@cli.command()
-@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
-@click.pass_obj
-def classify(cfg: RunConfig, map: MoebiusMap):
+def classify(cfg: Namespace, map: MoebiusMap):
     """Fixed points and their stability at every place."""
     _emit_classification(cfg, _classification_doc(cfg, map))
 
@@ -237,16 +227,7 @@ def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
     return max(points)
 
 
-@cli.command()
-@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--x0", type=RATIONAL, required=True, help="Starting point.")
-@click.option("--place", type=PLACE, required=True, help="'real' or a prime.")
-@click.option(
-    "--steps", type=COUNT, default=None, help="Nonnegative; defaults to --max-steps."
-)
-@click.option("--xi", type=RATIONAL, default=None, help="Reference fixed point.")
-@click.pass_obj
-def iterate(cfg: RunConfig, map, x0, place, steps, xi):
+def iterate(cfg: Namespace, map, x0, place, steps, xi):
     """Exact orbit with per-step distance to a fixed point."""
     if xi is None:
         xi = _default_xi(map, place)
@@ -264,29 +245,12 @@ def iterate(cfg: RunConfig, map, x0, place, steps, xi):
     rows = [[str(s["n"]), s["x"], s["dist"]] for s in doc["steps"]]
     emit(cfg, doc, ["n", "x", "dist"], rows)
     stop = record.terminated_by
-    if cfg.fmt != "json" and stop in (Termination.OVERFLOW_GUARD, Termination.POLE_HIT):
+    if cfg.format != "json" and stop in (Termination.OVERFLOW_GUARD, Termination.POLE_HIT):
         n = len(record.steps)
-        click.echo(f"note: {stop.value} ended the orbit before step {n}", err=True)
+        print(f"note: {stop.value} ended the orbit before step {n}", file=sys.stderr)
 
 
-@cli.command("adele-step")
-@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
-@click.option(
-    "--principal", type=RATIONAL, default=None, help="Step the principal adele of r."
-)
-@click.option("--real", type=RATIONAL, default=None, help="Real component.")
-@click.option(
-    "--at",
-    "at",
-    type=COMPONENT,
-    multiple=True,
-    help="Listed component 'p=x'; may repeat.",
-)
-@click.option(
-    "--elsewhere", type=RATIONAL, default=None, help="Shared value at unlisted primes."
-)
-@click.pass_obj
-def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
+def adele_step(cfg: Namespace, map, principal, real, at, elsewhere):
     """Apply the map componentwise to an adele."""
     if principal is not None:
         if real is not None or at or elsewhere is not None:
@@ -316,15 +280,7 @@ def adele_step(cfg: RunConfig, map, principal, real, at, elsewhere):
     emit(cfg, doc, ["place", "input", "output"], rows)
 
 
-@cli.command()
-@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--xi", type=RATIONAL, required=True, help="Fixed point to refer to.")
-@click.option("--place", type=PLACE, required=True, help="'real' or a prime.")
-@click.option(
-    "--height", type=COUNT, required=True, help="Max |num| and den of x0 (nonnegative)."
-)
-@click.pass_obj
-def basin(cfg: RunConfig, map, xi, place, height):
+def basin(cfg: Namespace, map, xi, place, height):
     """Verdict for every canonical fraction up to a height bound."""
     sample = basin_sample(
         map, xi, place, height, max_steps=cfg.max_steps, bit_guard=cfg.bit_guard
@@ -341,10 +297,7 @@ def basin(cfg: RunConfig, map, xi, place, height):
     emit(cfg, doc, ["x0", "verdict", "steps_used"], rows)
 
 
-@cli.command("product-formula")
-@click.option("-r", "--rational", type=RATIONAL, required=True, help="Nonzero.")
-@click.pass_obj
-def product_formula(cfg: RunConfig, rational: Fraction):
+def product_formula(cfg: Namespace, rational: Fraction):
     """Factor |r|_v over all places; the product is always 1."""
     doc = verify_product_formula(rational, cfg.factor_bound).to_dict()
     rows = [[f["place"], f["norm"]] for f in doc["factors"]]
@@ -352,14 +305,7 @@ def product_formula(cfg: RunConfig, rational: Fraction):
     emit(cfg, doc, ["place", "norm"], rows)
 
 
-@cli.command()
-@click.option("--family", type=INTEGER, required=True, help="Family number, 1..5.")
-@click.option("--sign", type=SIGN, default="+", show_default=True)
-@click.option(
-    "--c", "--param", "param", type=INTEGER, required=True, help="Free integer."
-)
-@click.pass_obj
-def modular(cfg: RunConfig, family: int, sign: str, param: int):
+def modular(cfg: Namespace, family: int, sign: str, param: int):
     """Construct one of the five integer det-1 families and classify it."""
     m = modular_family(family, 1 if sign == "+" else -1, param)
     doc = {"family": family, "sign": sign, "param": param}
@@ -377,14 +323,7 @@ _CASE_BUILDERS = {
 }
 
 
-@cli.command()
-@click.option("--tag", type=click.Choice([t.value for t in CaseTag]), required=True)
-@click.option("--a", type=RATIONAL, default=None, help="Cases A, E, F.")
-@click.option("--c", type=RATIONAL, default=None, help="Cases A, C, D, E, F.")
-@click.option("--t", type=RATIONAL, default=None, help="Case B.")
-@click.option("--sign", type=SIGN, default=None, help="C and D.")
-@click.pass_obj
-def case(cfg: RunConfig, tag, a, c, t, sign):
+def case(cfg: Namespace, tag, a, c, t, sign):
     """Construct a map satisfying one family's constraints and classify it."""
     builder, needed = _CASE_BUILDERS[tag]
     given = {"a": a, "c": c, "t": t, "sign": sign}
@@ -399,11 +338,7 @@ def case(cfg: RunConfig, tag, a, c, t, sign):
     _emit_classification(cfg, doc)
 
 
-@cli.command("cross-ratio")
-@click.option("--map", type=MAP, required=True, help="Coefficients 'a,b,c,d'.")
-@click.option("--points", type=POINTS, required=True, help="Four distinct rationals.")
-@click.pass_obj
-def cross_ratio_cmd(cfg: RunConfig, map: MoebiusMap, points: list[Fraction]):
+def cross_ratio_cmd(cfg: Namespace, map: MoebiusMap, points: list[Fraction]):
     """Cross-ratio before and after the map; the values must agree."""
     if len(set(points)) != 4:
         raise DegeneratePoints("the four points must be pairwise distinct")
@@ -423,23 +358,102 @@ def cross_ratio_cmd(cfg: RunConfig, map: MoebiusMap, points: list[Fraction]):
     emit(cfg, doc, ["side", "value"], rows)
 
 
+MAP_FLAG = ("--map", MAP, REQUIRED, "Coefficients 'a,b,c,d'.")
+PLACE_FLAG = ("--place", PLACE, REQUIRED, "'real' or a prime.")
+
+#: The flag table: the global flags under "", then each subcommand's, after
+#: the function that runs it.  A flag is (names, kind, default, help): the
+#: names are separated by '/', `kind` reads the text (a library parser, or a
+#: tuple of choices), and `default` is REQUIRED, or () for a flag that may
+#: repeat.
+COMMANDS = {
+    "": (
+        None,
+        ("--format", ("json", "csv", "table"), "table", "Output format on stdout."),
+        ("--factor-bound", INTEGER, DEFAULT_FACTOR_BOUND, "Largest trial divisor."),
+        ("--max-steps", COUNT, DEFAULT_MAX_STEPS, "Orbit step budget (nonnegative)."),
+        ("--bit-guard", COUNT, DEFAULT_BIT_GUARD, "End an orbit before a point or"
+         " distance whose numerator or denominator passes this many bits (nonnegative,"
+         f" at most {DEFAULT_BIT_GUARD}, the largest size that prints)."),
+        ("--audit-primes", COUNT, None, "Re-verify cofinite indifference for all primes"
+         f" up to N (nonnegative, at most {MAX_PRIME_SCAN})."),
+    ),
+    "classify": (classify, MAP_FLAG),
+    "iterate": (
+        iterate,
+        MAP_FLAG,
+        ("--x0", RATIONAL, REQUIRED, "Starting point."),
+        PLACE_FLAG,
+        ("--steps", COUNT, None, "Nonnegative; defaults to --max-steps."),
+        ("--xi", RATIONAL, None, "Reference fixed point."),
+    ),
+    "adele-step": (
+        adele_step,
+        MAP_FLAG,
+        ("--principal", RATIONAL, None, "Step the principal adele of r."),
+        ("--real", RATIONAL, None, "Real component."),
+        ("--at", COMPONENT, (), "Listed component 'p=x'; may repeat."),
+        ("--elsewhere", RATIONAL, None, "Shared value at unlisted primes."),
+    ),
+    "basin": (
+        basin,
+        MAP_FLAG,
+        ("--xi", RATIONAL, REQUIRED, "Fixed point to refer to."),
+        PLACE_FLAG,
+        ("--height", COUNT, REQUIRED, "Max |num| and den of x0 (nonnegative)."),
+    ),
+    "product-formula": (product_formula, ("-r/--rational", RATIONAL, REQUIRED, "Nonzero.")),
+    "modular": (
+        modular,
+        ("--family", INTEGER, REQUIRED, "Family number, 1..5."),
+        ("--sign", SIGN, "+", "Upper or lower symbol choice."),
+        ("--c/--param", INTEGER, REQUIRED, "Free integer."),
+    ),
+    "case": (
+        case,
+        ("--tag", tuple(t.value for t in CaseTag), REQUIRED, "Family tag."),
+        ("--a", RATIONAL, None, "Cases A, E, F."),
+        ("--c", RATIONAL, None, "Cases A, C, D, E, F."),
+        ("--t", RATIONAL, None, "Case B."),
+        ("--sign", SIGN, None, "C and D."),
+    ),
+    "cross-ratio": (
+        cross_ratio_cmd,
+        MAP_FLAG,
+        ("--points", POINTS, REQUIRED, "Four distinct rationals."),
+    ),
+}
+
+
 def main():
     """Run the CLI; the only place a failure leaves the program.
 
-    Returns only on success (`--help` included).  A library error exits 4,
-    3 or 2 and a click usage error exits 2, each with one `error:` line on
-    stderr; Ctrl-C prints click's "Aborted!" and exits 1.
+    Returns only on success; `--help` exits 0.  A library error exits 4, 3
+    or 2 and a usage error exits 2, each with one `error:` line on stderr;
+    Ctrl-C prints "Aborted!" and exits 1, and a reader that closes stdout
+    early ends the run quietly with exit 1.
     """
     try:
-        cli.main(standalone_mode=False, auto_envvar_prefix="ADELICDYN")
-    except click.Abort:
-        click.echo("Aborted!", err=True)
+        parser = Parser(prog="adelicdyn", description="Exact dynamics at every place.")
+        args = parser.parse_args()
+        cfg = Namespace(**parser.values(args))
+        if cfg.bit_guard > DEFAULT_BIT_GUARD:
+            raise ResourceLimitError(
+                f"--bit-guard {cfg.bit_guard} is above the cap {DEFAULT_BIT_GUARD} bits"
+            )
+        values = parser.commands[args.command].values(args)
+        COMMANDS[args.command][0](cfg, **values)
+        sys.stdout.flush()  # here, a closed stdout fails inside the try
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, or the flush at exit
+        # would fail on the closed pipe again and report it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_INPUT)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
     except AdelicDynError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ResourceLimitError):
             sys.exit(EXIT_RESOURCE)
         sys.exit(EXIT_DOMAIN if isinstance(exc, MathDomainError) else EXIT_INPUT)

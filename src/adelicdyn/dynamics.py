@@ -66,8 +66,7 @@ class Step(NamedTuple):
     dist: Fraction
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Exact orbit at one place with per-step distance to a fixed point."""
 
     place: Place
@@ -186,8 +185,7 @@ class VerdictKind(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class BehaviorEvidence:
+class BehaviorEvidence(NamedTuple):
     """Window statistics the verdict was based on."""
 
     window: int
@@ -208,8 +206,7 @@ class BehaviorEvidence:
         }
 
 
-@dataclass(frozen=True)
-class BehaviorVerdict:
+class BehaviorVerdict(NamedTuple):
     kind: VerdictKind
     evidence: BehaviorEvidence
 
@@ -297,8 +294,7 @@ def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
     return local_multiplier_radius(m, xi, p)
 
 
-@dataclass(frozen=True)
-class BasinPoint:
+class BasinPoint(NamedTuple):
     x0: Fraction
     verdict: BehaviorVerdict
     steps_used: int
@@ -450,8 +446,7 @@ def step_adele(
     )
 
 
-@dataclass(frozen=True)
-class ProductFormulaReport:
+class ProductFormulaReport(NamedTuple):
     """Per-place factors of |r|; their product is 1 for every nonzero r."""
 
     r: Fraction

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     FactorizationIncomplete,
@@ -102,8 +102,7 @@ def parse_rationals(text: str, count: int) -> list[Fraction]:
     return [parse_rational(part) for part in parts]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Signed prime factorization; primes strictly increasing."""
 
     sign: int
@@ -117,6 +116,11 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
+
+
+def _shown(k: int) -> str:
+    """k, or its bit length past QUOTE_CHARS digits (str() is slow or fails)."""
+    return str(k) if abs(k) < 10**QUOTE_CHARS else f"<{k.bit_length()}-bit integer>"
 
 
 def strip_prime(n: int, p: int) -> tuple[int, int]:
@@ -169,8 +173,8 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
             # here bound < d <= isqrt(m), and trial division to isqrt(m)
             # always completes (see is_prime)
             raise FactorizationIncomplete(
-                f"cofactor {m} of {n} may be composite (bound {bound}); "
-                f"a factor bound of {math.isqrt(m)} decides it"
+                f"cofactor {_shown(m)} of {_shown(n)} may be composite "
+                f"(bound {bound}); a factor bound of {_shown(math.isqrt(m))} decides it"
             )
     return Factorization(sign, tuple(factors))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CIsZero,
@@ -168,8 +169,7 @@ class MoebiusMap:
         return {name: str(getattr(self, name)) for name in ("a", "b", "c", "d")}
 
 
-@dataclass(frozen=True)
-class FixedPoints:
+class FixedPoints(NamedTuple):
     """Rational solutions of f(x) = x.
 
     `points` holds one entry when the two roots fuse (zero discriminant)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, NotPrime, ZeroInput
 from .exact import RationalLike, factorize, is_prime, parse_integer, strip_prime
@@ -98,8 +99,7 @@ def ball_contains(center: RationalLike, mu: int, x: RationalLike, p: int) -> boo
     return padic_distance(x, center, p) <= Fraction(p) ** mu
 
 
-@dataclass(frozen=True)
-class PAdicExpansion:
+class PAdicExpansion(NamedTuple):
     """Truncated canonical expansion p^nu * sum(digits[k] * p^k)."""
 
     p: int

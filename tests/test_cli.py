@@ -1,5 +1,6 @@
 """CLI contract: golden JSON, exit codes, determinism, formats, env vars."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -8,12 +9,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-import click
 import pytest
 
 from adelicdyn import cli as cli_module
-from adelicdyn.cli import COUNT, Value, cli, main
+from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
 from adelicdyn.exact import MAX_PRIME_SCAN
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
@@ -91,6 +92,21 @@ def test_factorization_error_names_the_bound_that_decides_it():
     assert_one_error_line(result, code=4)
     assert result[2].endswith(b"; a factor bound of 5 decides it\n")
     assert run_cli(["--factor-bound", "5", "product-formula", "-r", "25"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--map", f"{'7' * 4000},0,1,1/{'7' * 4000}"],
+        ["product-formula", "-r", "7" * 4290],
+    ],
+    ids=["classify", "product-formula"],
+)
+def test_factorization_error_on_a_long_input_is_one_short_line(args):
+    result = run_cli(["--factor-bound", "2", *args])
+    assert_one_error_line(result, code=4)
+    assert len(result[2].rstrip(b"\n")) <= 200, result[2][:300]
+    assert re.search(rb"cofactor <\d+-bit integer>", result[2])
 
 
 def test_audit_above_the_prime_scan_cap_is_a_resource_error():
@@ -223,26 +239,53 @@ def test_flag_abbreviations_are_refused(args):
     assert_one_error_line(run_cli(args))
 
 
-#: Exit codes when the reader closes the pipe after a few bytes.  The json
-#: and csv documents go out in one write, which the closed pipe cuts short
-#: without an error; the table goes out row by row, and a later row fails.
-CLOSED_PIPE_EXIT = {"json": 0, "csv": 0, "table": 1}
+#: Exit codes when the reader closes the pipe after a few bytes, with
+#: stdout buffered (the default) or not (PYTHONUNBUFFERED).  Unbuffered,
+#: the one write of a json or csv document is cut short without an error.
+CLOSED_PIPE_EXIT = {
+    (False, "json"): 1, (False, "csv"): 1, (False, "table"): 1,
+    (True, "json"): 0, (True, "csv"): 0, (True, "table"): 1,
+}
 
 
-@pytest.mark.parametrize("fmt", sorted(CLOSED_PIPE_EXIT))
-def test_a_closed_stdout_ends_quietly(fmt):
+@pytest.mark.parametrize(
+    "unbuffered,fmt",
+    sorted(CLOSED_PIPE_EXIT),
+    ids=[f"{'unbuffered' if u else 'buffered'}-{f}" for u, f in sorted(CLOSED_PIPE_EXIT)],
+)
+def test_a_closed_stdout_ends_quietly(unbuffered, fmt):
+    proc = _cli_process(["--format", fmt, *ITERATE_SPHERE], unbuffered)
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    _assert_ends_quietly(proc, CLOSED_PIPE_EXIT[unbuffered, fmt])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_before_the_first_write_ends_quietly(unbuffered):
+    # buffered, the closed pipe shows only when the output is flushed,
+    # which must happen before the interpreter exits
+    proc = _cli_process(["product-formula", "-r", "6"], unbuffered)
+    proc.stdout.close()
+    _assert_ends_quietly(proc, 1)
+
+
+def _cli_process(args, unbuffered):
     env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "adelicdyn", "--format", fmt, *ITERATE_SPHERE],
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "adelicdyn", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.read(16)
-    proc.stdout.close()
+
+
+def _assert_ends_quietly(proc, code):
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == CLOSED_PIPE_EXIT[fmt]
+    assert proc.wait() == code
     assert b"Traceback" not in err and b"Exception ignored" not in err, err[:300]
 
 
@@ -364,6 +407,9 @@ def test_bad_env_value_is_bad_input():
     result = run_cli(ITERATE_SPHERE, env_extra={"ADELICDYN_MAX_STEPS": "ten"})
     assert_one_error_line(result)
     assert b"--max-steps" in result[2]
+    result = run_cli(ITERATE_SPHERE, env_extra={"ADELICDYN_FORMAT": "xml"})
+    assert_one_error_line(result)
+    assert b"--format" in result[2]
 
 
 def test_over_long_numbers_are_not_echoed():
@@ -375,17 +421,14 @@ def test_over_long_numbers_are_not_echoed():
         assert HUGE.encode() not in result[2] and limit in result[2]
 
 
-@pytest.mark.parametrize(
-    "command", ["", *sorted(cli.commands)], ids=lambda c: c or "group"
-)
+@pytest.mark.parametrize("command", sorted(COMMANDS), ids=lambda c: c or "group")
 def test_help_works_and_states_the_ranges(command):
     code, out, err = run_cli([command, "--help"] if command else ["--help"])
     assert code == 0
     assert err == b""
     assert out
     text = out.decode()
-    params = (cli.commands[command] if command else cli).params
-    count_flags = sum(param.type is COUNT for param in params)
+    count_flags = sum(kind is COUNT for _, kind, _, _ in COMMANDS[command][1:])
     assert text.lower().count("nonnegative") == count_flags
     if command == "":
         assert str(MAX_PRIME_SCAN) in text
@@ -599,25 +642,24 @@ VALID_ARGV = {
 
 
 def _value_flags():
-    """(command, option) for every option that is not a choice; "" is the group."""
-    commands = [("", cli), *sorted(cli.commands.items())]
+    """(command, names) for every flag that is not a choice; "" is global."""
     return [
-        (name, p)
-        for name, command in commands
-        for p in command.params
-        if not isinstance(p.type, click.Choice)
+        (command, spec.split("/"))
+        for command in sorted(COMMANDS)
+        for spec, kind, _, _ in COMMANDS[command][1:]
+        if not isinstance(kind, tuple)
     ]
 
 
-def _with_bad_value(command, option, bad="x"):
+def _with_bad_value(command, names, bad="x"):
     if not command:
-        return [option.opts[0], bad, "classify", *VALID_ARGV["classify"]]
+        return [names[0], bad, "classify", *VALID_ARGV["classify"]]
     argv = list(VALID_ARGV[command])
-    for flag in option.opts:
+    for flag in names:
         if flag in argv:
             argv[argv.index(flag) + 1] = bad
             return [command, *argv]
-    return [command, *argv, option.opts[0], bad]
+    return [command, *argv, names[0], bad]
 
 
 VALUE_FLAGS = _value_flags()
@@ -629,7 +671,7 @@ def test_valid_argv_are_valid(command):
 
 
 def test_every_listed_value_flag_is_covered():
-    covered = {flag for _, option in VALUE_FLAGS for flag in option.opts}
+    covered = {flag for _, names in VALUE_FLAGS for flag in names}
     assert covered >= {
         "--map", "--x0", "--xi", "--place", "--steps", "-r", "--points", "--at",
         "--principal", "--real", "--elsewhere", "--height", "--a", "--c", "--t",
@@ -639,14 +681,14 @@ def test_every_listed_value_flag_is_covered():
 
 
 @pytest.mark.parametrize(
-    "command,option",
+    "command,names",
     VALUE_FLAGS,
-    ids=[f"{c or 'group'}-{o.opts[-1]}" for c, o in VALUE_FLAGS],
+    ids=[f"{c or 'group'}-{names[-1]}" for c, names in VALUE_FLAGS],
 )
-def test_every_value_error_names_its_flag(command, option):
-    result = run_cli(_with_bad_value(command, option))
+def test_every_value_error_names_its_flag(command, names):
+    result = run_cli(_with_bad_value(command, names))
     assert_one_error_line(result)
-    for flag in option.opts:
+    for flag in names:
         assert f"'{flag}'".encode() in result[2], result[2]
 
 
@@ -656,34 +698,59 @@ def test_a_composite_at_prime_names_the_flag():
     assert b"'--at'" in result[2] and b"not a prime" in result[2]
 
 
+#: The library parsers a flag's text may be read with, besides a choice.
+LIBRARY_PARSERS = [
+    cli_module.INTEGER, COUNT, cli_module.RATIONAL, cli_module.MAP,
+    cli_module.PLACE, cli_module.POINTS, cli_module.COMPONENT,
+]
+
+
 def test_every_option_is_a_value_or_a_choice():
-    for command in [cli, *cli.commands.values()]:
-        for param in command.params:
-            assert isinstance(param.type, (Value, click.Choice)), param.name
+    for command in COMMANDS:
+        for action in Parser(command)._actions:
+            if action.dest in ("help", "command"):
+                continue
+            # every flag is read by _read, which names the flag in its error
+            assert action.type.func is cli_module._read, action.dest
+            names, kind = action.type.args
+            assert names == action.option_strings
+            if isinstance(kind, tuple):
+                assert action.choices == kind and all(isinstance(c, str) for c in kind)
+            else:
+                assert any(kind is parse for parse in LIBRARY_PARSERS), action.dest
 
 
-def test_cli_defines_one_param_type():
+def test_cli_defines_one_class():
     types = [
         obj
         for obj in vars(cli_module).values()
-        if isinstance(obj, type)
-        and issubclass(obj, click.ParamType)
-        and obj.__module__ == cli_module.__name__
+        if isinstance(obj, type) and obj.__module__ == cli_module.__name__
     ]
-    assert types == [Value]
+    assert types == [Parser]
+    assert issubclass(Parser, argparse.ArgumentParser)
+
+
+def test_the_cli_needs_only_the_standard_library():
+    # -S leaves site-packages off the path; the package comes from src/
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import adelicdyn.cli"], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
 
 
 def test_no_command_body_parses_text():
     parsers = {"parse_rational", "parse_rationals", "parse_integer", "from_string"}
-    for command in [cli, *cli.commands.values()]:
-        source = inspect.getsource(inspect.unwrap(command.callback))
+    for command in [main, *(run for run, *_ in COMMANDS.values() if run)]:
+        source = inspect.getsource(command)
         called = {
             node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))
         }
-        assert not called & parsers, command.name
+        assert not called & parsers, command.__name__
 
 
 def _rows(fmt, args):

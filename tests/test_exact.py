@@ -221,6 +221,24 @@ def test_factorization_error_names_a_bound_that_decides():
         assert fact.value() == n
 
 
+def test_factorization_error_shows_long_integers_by_bit_length():
+    def message(n, bound=2):
+        with pytest.raises(FactorizationIncomplete) as info:
+            factorize(n, bound)
+        return str(info.value)
+
+    # 32 digits print in full, 33 by their bit length
+    assert message(10**32 - 5).startswith("cofactor 99999999999999999999999999999995 of ")
+    assert message(10**32).startswith(f"cofactor {5**32} of <107-bit integer> ")
+    # past the interpreter's digit limit, where str() would fail
+    n = 7 * (10**5000 - 1) // 9
+    bits, root_bits = n.bit_length(), math.isqrt(n).bit_length()
+    assert message(n) == (
+        f"cofactor <{bits}-bit integer> of <{bits}-bit integer> may be composite "
+        f"(bound 2); a factor bound of <{root_bits}-bit integer> decides it"
+    )
+
+
 def test_factorize_minimal_bound_stays_correct():
     # 2 and 3 are stripped even when the bound excludes 3, so the
     # prime certificate for the cofactor stays sound
