@@ -107,7 +107,7 @@ def _read(names: list[str], kind, text: str):
         if not isinstance(kind, tuple):
             return kind(text)
         if text not in kind:
-            raise ParseError(f"{quote(text)} is not one of {str(kind)[1:-1]}")
+            raise ParseError(f"{quote(text)} is not one of {', '.join(map(repr, kind))}")
         return text
     except InputError as exc:
         raise InputError(f"{' / '.join(map(repr, names))}: {exc}") from exc
@@ -124,8 +124,7 @@ class Parser(ArgumentParser):
         # digit always starts a value
         self._negative_number_matcher = re.compile(r"-\d")
         self.flags = []  # (dest, environment value, reader, default)
-        run, *flags = COMMANDS[command]
-        for spec, kind, default, text in flags:
+        for spec, kind, default, text in COMMANDS[command][1:]:
             names = spec.split("/")
             dest = names[-1].lstrip("-").replace("-", "_")
             env = "_".join(filter(None, ("ADELICDYN", command, dest)))
@@ -139,10 +138,10 @@ class Parser(ArgumentParser):
                 choices=kind if isinstance(kind, tuple) else None,
                 action="append" if default == () else "store",
                 required=default is REQUIRED and not env)
-        if run is None:
+        if not command:
             sub = self.add_subparsers(dest="command", required=True, metavar="COMMAND")
-            for name, (run, *_) in list(COMMANDS.items())[1:]:
-                sub.add_parser(name, command=name, help=run.__doc__, description=run.__doc__)
+            for name, (func, *_) in list(COMMANDS.items())[1:]:
+                sub.add_parser(name, command=name, help=func.__doc__, description=func.__doc__)
             self.commands = sub.choices
 
     def values(self, args: Namespace) -> dict:

@@ -283,9 +283,8 @@ def _cli_process(args, unbuffered):
 
 
 def _assert_ends_quietly(proc, code):
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == code
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
     assert b"Traceback" not in err and b"Exception ignored" not in err, err[:300]
 
 
