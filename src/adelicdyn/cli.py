@@ -155,26 +155,49 @@ class Parser(ArgumentParser):
             values[dest] = default if value is None else value
         return values
 
+    def parse_known_args(self, args=None, namespace=None):
+        # stock argparse names an unknown flag only after the missing flag
+        # or bad command it caused; here it is named first.  The global
+        # parser reads up to the command, a sub-parser all its arguments.
+        args = sys.argv[1:] if args is None else list(args)
+        for arg in args:
+            if arg == "--" or arg in getattr(self, "commands", ()):
+                break
+            flag = arg.partition("=")[0] if arg.startswith("--") else arg[:2]
+            if (
+                len(arg) > 1 and arg[0] == "-"
+                and not self._negative_number_matcher.match(arg)
+                and flag not in self._option_string_actions
+            ):
+                self.error(f"unrecognized flag {quote(arg)}")
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise InputError(message)
 
 
 def emit(cfg: Namespace, doc: dict, header: list[str], rows: list[list[str]]) -> None:
-    """Write `doc` as JSON, or the csv/table rows read from it.  JSON and csv
-    leave in one write, a table row by row: on an unbuffered stdout, a
-    closed pipe cuts the one write short quietly but fails a later row."""
+    """Write `doc` as JSON, or the csv/table rows read from it, in full."""
     if cfg.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return
-    table = [header, *rows]
-    if cfg.format == "csv":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif cfg.format == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(table)
-        sys.stdout.write(buf.getvalue())
-        return
-    widths = [max(len(cell) for cell in column) for column in zip(*table)]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        table = [header, *rows]
+        widths = [max(len(cell) for cell in column) for column in zip(*table)]
+        text = "".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+            for row in table
+        )
+    # an unbuffered stdout may take only part of a write when the reader
+    # closes the pipe, and its text layer drops the rest; written in a loop,
+    # the rest fails with BrokenPipeError
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
 
 
 def _case_tags(m: MoebiusMap) -> list[str]:

@@ -7,8 +7,9 @@ stdlib does not have: the strict string syntax used by the CLI and all
 serialized output, bounded trial-division factorization that fails loudly
 instead of mis-factoring, and the rational perfect-square test that gates
 rational fixed points.  It is the one home of the integer routines:
-`strip_prime` divides out a prime, `factorize` holds the only trial-division
-loop, and primality is that same trial division run to isqrt(p).
+`strip_prime` divides out a prime, `_trial_division` is the only
+trial-division loop, and primality below MR_LIMIT is the strong test to
+the 13 prime bases 2 ... 41, proven correct there.
 """
 
 from __future__ import annotations
@@ -136,24 +137,40 @@ def strip_prime(n: int, p: int) -> tuple[int, int]:
     return n, e
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
-    """Factor n by trial division with primes <= bound.
+#: The strong-probable-prime test to these 13 bases is proven correct for
+#: every n < MR_LIMIT = psi_13 (Sorenson and Webster, "Strong pseudoprimes
+#: to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-    The result is complete when every prime factor is <= bound or the
-    cofactor surviving trial division is provably prime (<= bound**2).
-    A larger composite cofactor raises FactorizationIncomplete rather than
-    being reported as prime.
-    """
-    if n == 0:
-        raise ZeroInput("0 has no prime factorization")
-    if bound < 2:
-        raise InputError(f"factor bound must be >= 2, got {bound}")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
+
+def _miller_rabin(n: int) -> bool:
+    """Primality of 2 <= n < MR_LIMIT: division by the 13 bases, then the
+    strong test to each; below MR_LIMIT every composite fails one of them."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = strip_prime(n - 1, 2)
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _trial_division(m: int, bound: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Strip 2, 3 and the wheel's candidates d <= min(bound, isqrt(m)) from
+    m >= 1; returns (factors, cofactor, d), d the first candidate not tried."""
     factors: list[tuple[int, int]] = []
     # 2 and 3 are always stripped (the bound only limits the wheel); the
-    # primality certificate "d*d > m" below needs every candidate below d
-    # to have been tried, bound or not
+    # primality certificate "d*d > m" in factorize needs every candidate
+    # below d to have been tried, bound or not
     for p in (2, 3):
         m, e = strip_prime(m, p)
         if e:
@@ -166,27 +183,51 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
             factors.append((d, e))
             limit = min(bound, math.isqrt(m))
         d, gap = d + gap, 6 - gap
+    return factors, m, d
+
+
+def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
+    """Factor n by trial division with primes <= bound.
+
+    The result is complete when every prime factor is <= bound or the
+    cofactor surviving trial division is provably prime: it is <= bound**2,
+    or below MR_LIMIT and passes the strong test.  Any other cofactor
+    raises FactorizationIncomplete rather than being reported as prime.
+    """
+    if n == 0:
+        raise ZeroInput("0 has no prime factorization")
+    if bound < 2:
+        raise InputError(f"factor bound must be >= 2, got {bound}")
+    factors, m, d = _trial_division(abs(n), bound)
     if m > 1:
-        if d * d > m or m <= bound * bound:
+        if d * d > m or m <= bound * bound or (m < MR_LIMIT and _miller_rabin(m)):
             factors.append((m, 1))
         else:
             # here bound < d <= isqrt(m), and trial division to isqrt(m)
-            # always completes (see is_prime)
+            # always completes
             raise FactorizationIncomplete(
                 f"cofactor {_shown(m)} of {_shown(n)} may be composite "
                 f"(bound {bound}); a factor bound of {_shown(math.isqrt(m))} decides it"
             )
-    return Factorization(sign, tuple(factors))
+    return Factorization(1 if n > 0 else -1, tuple(factors))
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic primality: `factorize` with the bound isqrt(n).
+    """Deterministic primality, proven below MR_LIMIT by the strong test.
 
-    With that bound the wheel cannot stop on the bound while d*d <= m, so
-    the factorization is always complete and never raises.
+    From MR_LIMIT on, a prime factor <= DEFAULT_FACTOR_BOUND proves n
+    composite; without one, ResourceLimitError is raised, since a proof
+    there needs a certificate (such as Pocklington's) that is not built here.
     """
-    return n >= 2 and factorize(n, max(2, math.isqrt(n))).factors == ((n, 1),)
+    if n < MR_LIMIT:
+        return n >= 2 and _miller_rabin(n)
+    if _trial_division(n, DEFAULT_FACTOR_BOUND)[1] != n:
+        return False
+    raise ResourceLimitError(
+        f"a {n.bit_length()}-bit integer with no prime factor <= {DEFAULT_FACTOR_BOUND}"
+        f" is not proven prime: primality is proven only below MR_LIMIT = {MR_LIMIT}"
+    )
 
 
 #: The sieve refuses limits above this; it allocates limit + 1 bytes.

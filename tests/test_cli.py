@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +108,29 @@ def test_factorization_error_on_a_long_input_is_one_short_line(args):
     assert_one_error_line(result, code=4)
     assert len(result[2].rstrip(b"\n")) <= 200, result[2][:300]
     assert re.search(rb"cofactor <\d+-bit integer>", result[2])
+
+
+def _timed_cli(args):
+    start = time.perf_counter()
+    result = run_cli(args)
+    return result, time.perf_counter() - start
+
+
+def test_a_large_prime_place_is_proven_fast():
+    # a few steps: the default orbit prints 30 MB, which alone takes a second
+    args = ["iterate", "--map", "1/2,0,1,2", "--x0", "3", "--steps", "24"]
+    (code, out, _), seconds = _timed_cli([*args, "--place", "1000000000039"])
+    assert code == 0 and out
+    assert seconds < 1
+
+
+def test_a_place_above_the_proven_range_is_a_resource_error():
+    args = ["iterate", "--map", "1/2,0,1,2", "--x0", "3"]
+    result, seconds = _timed_cli([*args, "--place", str(2**127 - 1)])
+    assert_one_error_line(result, code=4)
+    assert len(result[2].rstrip(b"\n")) <= 200
+    assert b"127-bit" in result[2] and b"MR_LIMIT" in result[2], result[2]
+    assert seconds < 1
 
 
 def test_audit_above_the_prime_scan_cap_is_a_resource_error():
@@ -227,24 +251,27 @@ def test_negative_values_are_values_not_flags(args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,flag",
     [
-        ["--form", "json", "classify", "--map", "1/2,0,1,2"],
-        ["classify", "--ma", "1/2,0,1,2"],
-        ["product-formula", "--rat", "6"],
+        (["--form", "json", "classify", "--map", "1/2,0,1,2"], "--form"),
+        (["--nope", "classify"], "--nope"),
+        (["classify", "--ma", "1/2,0,1,2"], "--ma"),
+        (["product-formula", "--rat", "6"], "--rat"),
     ],
-    ids=["global", "subcommand", "long-name"],
+    ids=["global", "unknown-global", "subcommand", "long-name"],
 )
-def test_flag_abbreviations_are_refused(args):
-    assert_one_error_line(run_cli(args))
+def test_flag_abbreviations_are_refused(args, flag):
+    result = run_cli(args)
+    assert_one_error_line(result)
+    assert repr(flag).encode() in result[2], result[2]
 
 
 #: Exit codes when the reader closes the pipe after a few bytes, with
-#: stdout buffered (the default) or not (PYTHONUNBUFFERED).  Unbuffered,
-#: the one write of a json or csv document is cut short without an error.
+#: stdout buffered (the default) or not (PYTHONUNBUFFERED).  Every format
+#: is written until every byte is out, so a closed pipe always fails.
 CLOSED_PIPE_EXIT = {
     (False, "json"): 1, (False, "csv"): 1, (False, "table"): 1,
-    (True, "json"): 0, (True, "csv"): 0, (True, "table"): 1,
+    (True, "json"): 1, (True, "csv"): 1, (True, "table"): 1,
 }
 
 

@@ -19,6 +19,7 @@ from adelicdyn.errors import (
 )
 from adelicdyn.exact import (
     MAX_PRIME_SCAN,
+    MR_LIMIT,
     QUOTE_CHARS,
     Factorization,
     factorize,
@@ -268,6 +269,20 @@ def test_prime_scan_is_capped():
         primes_upto(MAX_PRIME_SCAN + 1)
 
 
+def trial_division_is_prime(n, limit=10**6):
+    """n's primality by trial division to isqrt(n); None when that passes limit."""
+    if n < 2:
+        return False
+    root = math.isqrt(n)
+    if any(n % d == 0 for d in range(2, min(root, limit) + 1)):
+        return False
+    return True if root <= limit else None
+
+
+#: psi_12: a strong pseudoprime to the first 12 prime bases; only 41 exposes it
+PSI_12 = 318665857834031151167461
+
+
 def test_is_prime_matches_sympy_beyond_the_sieve():
     rng = random.Random(19)
     below = sympy.prevprime(10**6)
@@ -279,8 +294,46 @@ def test_is_prime_matches_sympy_beyond_the_sieve():
     cases += [sympy.nextprime(rng.randint(5 * 10**11, 9 * 10**11)) for _ in range(3)]
     cases += [sympy.nextprime(10**12)]  # isqrt above DEFAULT_FACTOR_BOUND
     cases += [2 * sympy.nextprime(10**11 + rng.randint(0, 10**9))]
+    cases += [3215031751]  # 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
+    # primes and semiprimes just below the proven range
+    near = sympy.prevprime(MR_LIMIT)
+    root = sympy.prevprime(math.isqrt(MR_LIMIT))
+    cases += [PSI_12, near, sympy.prevprime(near), MR_LIMIT - 1]
+    cases += [root * sympy.prevprime(MR_LIMIT // root), 3 * sympy.prevprime(MR_LIMIT // 3)]
+    assert max(cases) < MR_LIMIT
     for n in cases:
-        assert is_prime(n) == sympy.isprime(n), n
+        expected = sympy.isprime(n)
+        assert is_prime(n) == expected, n
+        assert trial_division_is_prime(n) in (expected, None), n
+    assert is_prime(near) and not is_prime(PSI_12)
+    assert PSI_12 == 399165290221 * 798330580441
+
+
+def test_is_prime_above_the_proven_range():
+    # psi_13 passes all 13 bases, and both its factors exceed 10**6
+    assert MR_LIMIT == 1287836182261 * 2575672364521
+    for n in (MR_LIMIT, 2**127 - 1):
+        with pytest.raises(ResourceLimitError, match=rf"{n.bit_length()}-bit .*MR_LIMIT"):
+            is_prime(n)
+    # a factor up to the default bound still proves a large n composite
+    assert not is_prime(43 * (2**127 - 1))
+    assert not is_prime(sympy.prevprime(10**6) * sympy.nextprime(MR_LIMIT))
+
+
+def test_factorize_proves_a_cofactor_above_bound_squared():
+    rng = random.Random(31)
+    for bound in (2, 5, 100, 1000, 10**6):
+        for _ in range(4):
+            q = sympy.nextprime(bound**2 * rng.randint(2, 10**4))
+            small = [p for p in (2, 3, 5, 7) if p <= max(3, bound)]
+            n = math.prod(rng.choice(small) for _ in range(rng.randint(0, 4))) * q
+            assert dict(factorize(n, bound).factors) == sympy.factorint(n)
+    near = sympy.prevprime(MR_LIMIT)
+    assert factorize(4 * near).factors == ((2, 2), (near, 1))
+    # outside the proven range the cofactor is not taken for prime
+    for n in (MR_LIMIT, 2**127 - 1):
+        with pytest.raises(FactorizationIncomplete):
+            factorize(n)
 
 
 def test_perfect_square_examples():
