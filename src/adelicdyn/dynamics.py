@@ -4,10 +4,11 @@ formula.
 Iteration never leaves the rationals: every orbit point and every distance
 to the reference fixed point is an exact Fraction, so statements like "the
 sphere is invariant" are literal equality checks.  Orbits are stepped as an
-integer matrix acting on the point's num/den pair, with one reduction per
-step; every recorded x and dist is still an exact, canonical Fraction.  A
-bit-size guard aborts runaway orbits instead of falling back to floating
-point.
+integer matrix acting on the point's num/den pair, each step reduced by a
+gcd against the matrix's det, since the adjugate maps the new pair to det
+times the old, coprime one, so the new pair's gcd divides det.  Every
+recorded x and dist is still an exact, canonical Fraction.  A bit-size
+guard aborts runaway orbits instead of falling back to floating point.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
 from .exact import (
     DEFAULT_FACTOR_BOUND,
     RationalLike,
+    coprime_fraction,
     factorize,
     int_digit_limit,
     strip_prime,
@@ -101,30 +103,40 @@ def iterate_at_place(
 
     The map's denominators are cleared once into an integer matrix
     (a, b, c, d), which acts on the point as the pair num/den: a step is
-    (a num + b den) / (c num + d den) with one gcd, and the distance comes
-    from the integer num xi_den - xi_num den.  Every recorded x and dist is
-    still an exact, canonical Fraction.
+    (a num + b den) / (c num + d den), whose gcd divides det because the
+    adjugate maps that pair to det (num, den) with num, den coprime, so it
+    is gcd(gcd(a num + b den, det), c num + d den), a gcd against det.
+    The distance comes from the integer num xi_den - xi_num den; at a
+    p-adic place "the distance decreased" is decided on its valuation.
+    Every recorded x and dist is still an exact, canonical Fraction.
     """
     x0, xi = Fraction(x0), Fraction(xi)
     if m.apply(xi) != xi:
         raise NotAFixedPoint(f"{xi} is not fixed by the map")
     scale = math.lcm(*(k.denominator for k in m.coefficients()))
     a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
+    det = a * d - b * c
     xi_num, xi_den = xi.numerator, xi.denominator
+    # distance(num, den) is (dist, rank): rank orders the distances as dist
+    # does, so a step's distance decreased iff its rank is below the last
     if v.is_real:
 
-        def distance(num: int, den: int) -> Fraction:
-            return Fraction(abs(num * xi_den - xi_num * den), den * xi_den)
+        def distance(num: int, den: int) -> tuple[Fraction, Fraction]:
+            dist = Fraction(abs(num * xi_den - xi_num * den), den * xi_den)
+            return dist, dist
 
     else:
         p = v.p
         xi_den_nu = valuation(xi_den, p)
         norms: dict[int, Fraction] = {}  # p^-nu by nu, for this call only
 
-        def distance(num: int, den: int) -> Fraction:
+        def distance(num: int, den: int) -> tuple[Fraction, int | None]:
+            # rank -nu, the integer exponent of dist = p^-nu; x = xi only
+            # at a start that ends the orbit at once, so rank None there is
+            # never compared
             t = num * xi_den - xi_num * den
             if t == 0:
-                return Fraction(0)
+                return Fraction(0), None
             nu = -xi_den_nu
             # inline rather than strip_prime: this is the per-step hot path
             while t % p == 0:
@@ -136,7 +148,7 @@ def iterate_at_place(
             norm = norms.get(nu)
             if norm is None:
                 norm = norms[nu] = Fraction(p) ** -nu
-            return norm
+            return norm, -nu
 
     window, threshold = WINDOW, CONVERGENCE_THRESHOLD
     # dist has at most xi's bits + 1 more bits than x (its parts divide
@@ -144,7 +156,7 @@ def iterate_at_place(
     # `near` can trip the guard
     near = bit_guard - max(xi_num.bit_length(), xi_den.bit_length()) - 1
     num, den = x0.numerator, x0.denominator
-    dist = distance(num, den)
+    dist, rank = distance(num, den)
     size = max(k.bit_length() for k in (num, den, dist.numerator, dist.denominator))
     if size > bit_guard:
         raise ResourceLimitError(
@@ -162,15 +174,22 @@ def iterate_at_place(
             if new_den == 0:  # x is the pole -d/c
                 terminated = Termination.POLE_HIT
                 break
-            x = Fraction(a * num + b * den, new_den)
-            num, den = x.numerator, x.denominator
-            dist = distance(num, den)
+            num, den = a * num + b * den, new_den
+            g = math.gcd(num, det)
+            if g != 1:
+                g = math.gcd(g, den)
+                num, den = num // g, den // g
+            if den < 0:
+                num, den = -num, -den
+            x = coprime_fraction(num, den)
+            last_rank = rank
+            dist, rank = distance(num, den)
             if (num.bit_length() > near or den.bit_length() > near) and max(
                 k.bit_length() for k in (num, den, dist.numerator, dist.denominator)
             ) > bit_guard:
                 terminated = Termination.OVERFLOW_GUARD
                 break
-            decreasing_run = decreasing_run + 1 if dist < steps[-1].dist else 0
+            decreasing_run = decreasing_run + 1 if rank < last_rank else 0
             steps.append(Step(n, x, dist))
             if decreasing_run >= window and dist < threshold:
                 terminated = Termination.CONVERGED

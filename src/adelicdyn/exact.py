@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,6 +49,16 @@ def normalize(num: int, den: int) -> Fraction:
     if den == 0:
         raise ZeroDenominator(f"{num}/0 is not a rational")
     return Fraction(num, den)
+
+
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction without the gcd and divisions of Fraction();
+    the caller guarantees den > 0 and gcd(num, den) = 1 (0 only as 0/1).
+    It sets the two slots as the stdlib's Fraction._from_coprime_ints does."""
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
 
 
 def quote(text: str) -> str:
@@ -164,47 +175,52 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _trial_division(m: int, bound: int) -> tuple[list[tuple[int, int]], int, int]:
-    """Strip 2, 3 and the wheel's candidates d <= min(bound, isqrt(m)) from
-    m >= 1; returns (factors, cofactor, d), d the first candidate not tried."""
-    factors: list[tuple[int, int]] = []
+def _trial_division(m: int, bound: int) -> Iterator[tuple[int, int]]:
+    """Yield the prime powers (p, e) of m >= 1 found by stripping 2, 3 and
+    the wheel's candidates d <= min(bound, isqrt(m)), p ascending; then
+    the cofactor left as (cofactor, 1) when it is above 1 and d*d exceeds
+    it, d the first candidate not tried, which proves it prime.  Nothing
+    past the hit a caller stops at is computed."""
     # 2 and 3 are always stripped (the bound only limits the wheel); the
-    # primality certificate "d*d > m" in factorize needs every candidate
-    # below d to have been tried, bound or not
+    # primality certificate "d*d > m" needs every candidate below d to
+    # have been tried, bound or not
     for p in (2, 3):
         m, e = strip_prime(m, p)
         if e:
-            factors.append((p, e))
+            yield p, e
     d, gap = 5, 2
     limit = min(bound, math.isqrt(m))  # d <= limit iff d <= bound and d*d <= m
     while d <= limit:
         if m % d == 0:
             m, e = strip_prime(m, d)
-            factors.append((d, e))
+            yield d, e
             limit = min(bound, math.isqrt(m))
         d, gap = d + gap, 6 - gap
-    return factors, m, d
+    if m > 1 and d * d > m:
+        yield m, 1
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     """Factor n by trial division with primes <= bound.
 
     The result is complete when every prime factor is <= bound or the
-    cofactor surviving trial division is provably prime: it is <= bound**2,
-    or below MR_LIMIT and passes the strong test.  Any other cofactor
+    cofactor surviving trial division is provably prime: no prime up to
+    its square root is left untried (always so when it is <= bound**2), or
+    it is below MR_LIMIT and passes the strong test.  Any other cofactor
     raises FactorizationIncomplete rather than being reported as prime.
     """
     if n == 0:
         raise ZeroInput("0 has no prime factorization")
     if bound < 2:
         raise InputError(f"factor bound must be >= 2, got {bound}")
-    factors, m, d = _trial_division(abs(n), bound)
+    factors = list(_trial_division(abs(n), bound))
+    m = abs(n) // math.prod(p**e for p, e in factors)
     if m > 1:
-        if d * d > m or m <= bound * bound or (m < MR_LIMIT and _miller_rabin(m)):
+        if m < MR_LIMIT and _miller_rabin(m):
             factors.append((m, 1))
         else:
-            # here bound < d <= isqrt(m), and trial division to isqrt(m)
-            # always completes
+            # trial division stopped at the bound, below isqrt(m); trial
+            # division to isqrt(m) always completes
             raise FactorizationIncomplete(
                 f"cofactor {_shown(m)} of {_shown(n)} may be composite "
                 f"(bound {bound}); a factor bound of {_shown(math.isqrt(m))} decides it"
@@ -222,8 +238,11 @@ def is_prime(n: int) -> bool:
     """
     if n < MR_LIMIT:
         return n >= 2 and _miller_rabin(n)
-    if _trial_division(n, DEFAULT_FACTOR_BOUND)[1] != n:
-        return False
+    # the first hit decides: (n, 1) proves n prime, any other factor
+    # proves it composite
+    hit = next(_trial_division(n, DEFAULT_FACTOR_BOUND), None)
+    if hit is not None:
+        return hit == (n, 1)
     raise ResourceLimitError(
         f"a {n.bit_length()}-bit integer with no prime factor <= {DEFAULT_FACTOR_BOUND}"
         f" is not proven prime: primality is proven only below MR_LIMIT = {MR_LIMIT}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotPrime, ZeroInput
-from .exact import RationalLike, factorize, is_prime, parse_integer, strip_prime
+from .exact import RationalLike, _shown, factorize, is_prime, parse_integer, strip_prime
 
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
@@ -24,7 +24,7 @@ INFINITE = math.inf
 
 def _check_prime(p: int) -> None:
     if not is_prime(p):
-        raise NotPrime(f"{p} is not a prime, so not a finite place")
+        raise NotPrime(f"{_shown(p)} is not a prime, so not a finite place")
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,16 @@ def test_a_place_above_the_proven_range_is_a_resource_error():
     assert seconds < 1
 
 
+def test_a_long_composite_place_is_refused_fast_in_one_short_line():
+    # 4300 sevens, divisible by 7: the first factor decides, and the error
+    # names the 14284-bit place by its size, not by its digits
+    args = ["iterate", "--map", "1/2,0,1,2", "--x0", "3"]
+    result, seconds = _timed_cli([*args, "--place", "7" * 4300])
+    assert_one_error_line(result, code=2)
+    assert len(result[2].rstrip(b"\n")) <= 200, result[2][:300]
+    assert seconds < 1
+
+
 def test_audit_above_the_prime_scan_cap_is_a_resource_error():
     code, out, err = run_cli(
         ["--audit-primes", "1000001", "classify", "--map", "1/2,0,1,2"]

@@ -1,5 +1,6 @@
 """Exact orbits, behavior verdicts, Siegel disks, adeles, product formula."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from adelicdyn.errors import (
     ResourceLimitError,
     ZeroInput,
 )
-from adelicdyn.exact import int_digit_limit
+from adelicdyn.exact import coprime_fraction, int_digit_limit
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL, padic_norm, place_norm
 from helpers import rand_rational, rand_square_disc_map
@@ -286,6 +287,68 @@ def test_orbit_matches_the_definitions(monkeypatch):
     assert {stop for stop, _ in seen} == set(Termination)
     for stop in (Termination.POLE_HIT, Termination.CONVERGED):
         assert {(stop, False), (stop, True)} <= seen
+
+
+CASE_B_MAP = MoebiusMap(Fraction(5, 4), Fraction(3, 4), Fraction(3, 4), Fraction(5, 4))
+# x -> (6x + 6)/(5x + 7) scaled by k = -1/5: its integer matrix
+# -(6, 6, 5, 7) has det 12, which shares 6 with the top row
+SCALED_MAP = MoebiusMap(*(Fraction(-1, 5) * e for e in (6, 6, 5, 7)))
+# (map, xi, p, x0): x0 lies on a p-adic sphere around xi inside the
+# linearization radius, where xi is indifferent, so every orbit runs its
+# whole budget while its operands grow by 2 or more bits a step; two
+# spheres have radius below CONVERGENCE_THRESHOLD
+LONG_SPHERE_ORBITS = [
+    (CASE_B_MAP, Fraction(1), 3, 1 + Fraction(3, 7)),
+    (CASE_B_MAP, Fraction(-1), 5, -1 - Fraction(5**20, 11)),
+    (CASE_A_MAP, Fraction(0), 3, Fraction(3**30)),
+    (SCALED_MAP, Fraction(1), 5, 1 + Fraction(5, 7)),
+]
+
+
+def _canonical(r):
+    return r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+
+
+def test_long_sphere_orbits_match_the_fraction_reference():
+    # the kernel reduces each step by a gcd against the integer matrix's
+    # det; tally, from the recorded orbits, the steps where the new pair
+    # has a common factor, where det shares more with the new numerator
+    # than the new denominator does, and where the new denominator is
+    # negative, so each part of the reduction is seen to be exercised
+    reduced = det_shares_more = negative = 0
+    for m, xi, p, x0 in LONG_SPHERE_ORBITS:
+        record = iterate_at_place(m, x0, xi, Place(p), max_steps=1000)
+        expected = reference_orbit(
+            m, x0, xi, Place(p), 1000, DEFAULT_BIT_GUARD, Fraction(1, 2**40), 16
+        )
+        assert record == expected
+        assert record.terminated_by is Termination.MAX_STEPS
+        assert record.distances() == [padic_norm(x0 - xi, p)] * 1001
+        assert _bits(record.steps[-1].x) >= 2000
+        assert all(_canonical(s.x) and _canonical(s.dist) for s in record.steps)
+        scale = math.lcm(*(k.denominator for k in m.coefficients()))
+        a, b, c, d = (int(k * scale) for k in m.coefficients())
+        det = a * d - b * c
+        for step in record.steps[:-1]:
+            num, den = step.x.numerator, step.x.denominator
+            new_num, new_den = a * num + b * den, c * num + d * den
+            g = math.gcd(new_num, new_den)
+            reduced += g > 1
+            det_shares_more += math.gcd(new_num, det) > g
+            negative += new_den < 0
+    assert reduced and det_shares_more and negative
+
+
+def test_coprime_fraction_is_the_canonical_fraction():
+    big = 3**5000 + 2  # 7925 bits, coprime to 2**8000 - 1
+    cases = [(-3, 4), (0, 1), (7, 1), (-(2**8000 - 1), big), (big, 2**8000 - 1)]
+    for num, den in cases:
+        built, expected = coprime_fraction(num, den), Fraction(num, den)
+        assert built == expected
+        assert (built.numerator, built.denominator) == (num, den)
+        assert hash(built) == hash(expected)
+        assert str(built) == str(expected)
+        assert type(built) is Fraction
 
 
 def test_detect_converges_real():
