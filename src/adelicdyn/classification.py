@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CaseMismatch, CIsZero, NotAFixedPoint, NotUnimodular, ZeroInput
+from .errors import CaseMismatch, CIsZero, NotUnimodular, ZeroInput
 from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto, shown
 from .moebius import MoebiusMap, fixed_points, unit_sign
 from .padic import Place, norm_support, place_norm
@@ -32,20 +32,19 @@ class Stability(str, Enum):
     INDIFFERENT = "indifferent"
 
 
-def stability_from_norm(norm: Fraction) -> Stability:
-    if norm < 1:
-        return Stability.ATTRACTIVE
-    if norm > 1:
-        return Stability.REPELLING
-    return Stability.INDIFFERENT
-
-
 class PlaceClassification(NamedTuple):
-    """Stability of one fixed point at one place; kind mirrors the norm."""
+    """Stability of one fixed point at one place, read from |f'(xi)|_v."""
 
     place: Place
-    kind: Stability
     multiplier_norm: Fraction
+
+    @property
+    def kind(self) -> Stability:
+        if self.multiplier_norm < 1:
+            return Stability.ATTRACTIVE
+        if self.multiplier_norm > 1:
+            return Stability.REPELLING
+        return Stability.INDIFFERENT
 
     def to_dict(self) -> dict:
         return {
@@ -57,11 +56,8 @@ class PlaceClassification(NamedTuple):
 
 def classify_at_place(m: MoebiusMap, xi: RationalLike, v: Place) -> PlaceClassification:
     """Compare |f'(xi)|_v with 1; exact comparison, no thresholds."""
-    xi = Fraction(xi)
-    if m.apply(xi) != xi:
-        raise NotAFixedPoint(f"{shown(xi)} is not fixed by the map")
-    norm = place_norm(m.derivative_at(xi), v)
-    return PlaceClassification(v, stability_from_norm(norm), norm)
+    xi = m.check_fixed_point(xi)
+    return PlaceClassification(v, place_norm(m.derivative_at(xi), v))
 
 
 class ExceptionalSets(NamedTuple):
@@ -111,7 +107,7 @@ class AdelicFixedPointReport(NamedTuple):
         for entry in self.finite_exceptions:
             if entry.place == v:
                 return entry
-        return PlaceClassification(v, Stability.INDIFFERENT, Fraction(1))
+        return PlaceClassification(v, Fraction(1))
 
     def to_dict(self) -> dict:
         return {
@@ -131,8 +127,7 @@ def _place_table(
     `support` is q's `norm_support`: one entry per place of it; at every
     other prime the norm is 1 and the default (indifferent) applies.
     """
-    norms = [(v, norm**exponent) for v, norm in support]
-    real, *rest = (PlaceClassification(v, stability_from_norm(n), n) for v, n in norms)
+    real, *rest = (PlaceClassification(v, norm**exponent) for v, norm in support)
     return AdelicFixedPointReport(xi=xi, real=real, finite_exceptions=tuple(rest))
 
 

@@ -55,7 +55,6 @@ from .errors import (
     AdelicDynError,
     DegeneratePoints,
     InputError,
-    MathDomainError,
     ParseError,
     ResourceLimitError,
 )
@@ -71,10 +70,6 @@ from .exact import (
 )
 from .moebius import MoebiusMap, cross_ratio, fixed_points, modular_family
 from .padic import Place
-
-EXIT_INPUT = 2
-EXIT_DOMAIN = 3
-EXIT_RESOURCE = 4
 
 
 def _prime_and_value(text: str) -> tuple[int, Fraction]:
@@ -172,6 +167,18 @@ class Parser(ArgumentParser):
             ):
                 self.error(f"unrecognized flag {shown(arg)}")
         return super().parse_known_args(args, namespace)
+
+    # stock argparse repeats a stray argument or an unknown command in full;
+    # here the first is shown as `exact.shown` does
+    def parse_args(self, args=None, namespace=None):
+        namespace, stray = self.parse_known_args(args, namespace)
+        if stray:
+            self.error(f"unrecognized argument {shown(stray[0])}")
+        return namespace
+
+    def _check_value(self, action, value):  # a flag's reader checks its choices
+        if action.choices is not None and value not in action.choices:
+            self.error(f"unknown command {shown(value)}")
 
     def error(self, message):
         raise InputError(message)
@@ -449,10 +456,10 @@ COMMANDS = {
 def main():
     """Run the CLI; the only place a failure leaves the program.
 
-    Returns only on success; `--help` exits 0.  A library error exits 4, 3
-    or 2, a usage error 2 and an integer too long to print 4, each with one
-    `error:` line on stderr; Ctrl-C prints "Aborted!" and exits 1, and a
-    reader that closes stdout early ends the run quietly with exit 1.
+    Returns only on success; `--help` exits 0.  A library error exits with
+    its `exit_code`, a usage error 2 and an integer too long to print 4,
+    each with one `error:` line on stderr.  Ctrl-C prints "Aborted!" and
+    exits 1; a reader that closes stdout early ends the run quietly, exit 1.
     """
     try:
         parser = Parser(prog="adelicdyn", description="Exact dynamics at every place.")
@@ -480,12 +487,10 @@ def main():
             raise
         size = f"more than {int_digit_limit()} digits, the interpreter's digit limit"
         print(f"error: the result has an integer of {size}", file=sys.stderr)
-        sys.exit(EXIT_RESOURCE)
+        sys.exit(ResourceLimitError.exit_code)
     except AdelicDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ResourceLimitError):
-            sys.exit(EXIT_RESOURCE)
-        sys.exit(EXIT_DOMAIN if isinstance(exc, MathDomainError) else EXIT_INPUT)
+        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":

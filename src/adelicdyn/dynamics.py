@@ -23,10 +23,8 @@ from .classification import Stability, classify_at_place
 from .errors import (
     CIsZero,
     NonIntegralTail,
-    NotAFixedPoint,
     NotIndifferent,
     PoleAtPlace,
-    PoleInput,
     ResourceLimitError,
     ZeroInput,
 )
@@ -116,9 +114,7 @@ def iterate_at_place(
     p-adic place "the distance decreased" is decided on its valuation.
     Every recorded x and dist is still an exact, canonical Fraction.
     """
-    x0, xi = Fraction(x0), Fraction(xi)
-    if m.apply(xi) != xi:
-        raise NotAFixedPoint(f"{shown(xi)} is not fixed by the map")
+    x0, xi = Fraction(x0), m.check_fixed_point(xi)
     scale = math.lcm(*(k.denominator for k in m.coefficients()))
     a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
     det = a * d - b * c
@@ -289,12 +285,9 @@ def local_multiplier_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction
     |cx + d|_p = |c xi + d|_p, so one step scales the distance by exactly
     |f'(xi)|_p.
     """
-    xi = Fraction(xi)
     if m.c == 0:
         raise CIsZero("locality radius needs c != 0")
-    if m.c * xi + m.d == 0:
-        raise PoleInput(f"{shown(xi)} is the pole of the map")
-    return _locality_radius(m, xi, Place(p))
+    return _locality_radius(m, m.check_fixed_point(xi), Place(p))
 
 
 def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
@@ -465,7 +458,10 @@ class ProductFormulaReport(NamedTuple):
 
     r: Fraction
     factors: tuple[tuple[Place, Fraction], ...]
-    product: Fraction
+
+    @property
+    def product(self) -> Fraction:
+        return math.prod(norm for _, norm in self.factors)
 
     @property
     def holds(self) -> bool:
@@ -488,9 +484,7 @@ def verify_product_formula(
     """Evidence that |r|_inf * prod_p |r|_p = 1: the factor at every place
     of r's support (`norm_support`), and their exact product."""
     r = Fraction(r)
-    factors = norm_support(r, bound)
-    product = math.prod(norm for _, norm in factors)
-    return ProductFormulaReport(r=r, factors=factors, product=product)
+    return ProductFormulaReport(r=r, factors=norm_support(r, bound))
 
 
 def product_norm(r: RationalLike, bound: int = DEFAULT_FACTOR_BOUND) -> Fraction:

@@ -2,12 +2,14 @@
 
 Three bases split errors the way the command line reports them: malformed
 input, mathematics outside the rational-fixed-point scope, and tripped
-resource guards.  The CLI maps them onto exit codes 2, 3 and 4.
+resource guards.  Each class carries the CLI's exit code: 2, 3 and 4.
 """
 
 
 class AdelicDynError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 class InputError(AdelicDynError):
@@ -17,9 +19,13 @@ class InputError(AdelicDynError):
 class MathDomainError(AdelicDynError):
     """Request outside the library's mathematical scope (CLI exit code 3)."""
 
+    exit_code = 3
+
 
 class ResourceLimitError(AdelicDynError):
     """A configured resource guard refused to continue (CLI exit code 4)."""
+
+    exit_code = 4
 
 
 class ParseError(InputError):
@@ -51,7 +57,7 @@ class DegeneratePoints(InputError):
 
 
 class NotAFixedPoint(InputError):
-    """The supplied reference point is not fixed by the map."""
+    """The map does not fix the supplied reference point."""
 
 
 class NonIntegralTail(InputError):

@@ -233,7 +233,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     return Factorization(1 if n > 0 else -1, tuple(factors))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic primality, proven below MR_LIMIT by the strong test.
 

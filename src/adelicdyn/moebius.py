@@ -21,6 +21,7 @@ from .errors import (
     InputError,
     NonRationalFixedPoints,
     NonSquareDeterminant,
+    NotAFixedPoint,
     PoleInput,
     SingularMap,
 )
@@ -40,8 +41,7 @@ class MoebiusMap:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.a * self.d - self.b * self.c == 0:
-            shown_all = ", ".join(map(shown, self.coefficients()))
-            raise SingularMap(f"ad - bc = 0 for ({shown_all})")
+            raise SingularMap("ad - bc = 0")
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -81,6 +81,13 @@ class MoebiusMap:
         if den == 0:
             raise PoleInput(f"{shown(x)} is the pole -d/c of the map")
         return (self.a * x + self.b) / den
+
+    def check_fixed_point(self, xi: RationalLike) -> Fraction:
+        """xi as a Fraction; NotAFixedPoint unless the map fixes it."""
+        xi = Fraction(xi)
+        if self.apply(xi) != xi:
+            raise NotAFixedPoint(f"{shown(xi)} is not fixed by the map")
+        return xi
 
     def __call__(self, x: RationalLike) -> Fraction:
         return self.apply(x)

@@ -10,6 +10,7 @@ from adelicdyn.classification import (
     AdelicFixedPointReport,
     CaseTag,
     IndifferenceAudit,
+    PlaceClassification,
     Stability,
     adelic_report,
     audit_cofinite_indifference,
@@ -54,6 +55,12 @@ def test_classify_at_two():
     cls = classify_at_place(CASE_A_MAP, 0, Place(2))
     assert cls.kind is Stability.REPELLING
     assert cls.multiplier_norm == 4
+
+
+def test_kind_is_read_from_the_stored_norm():
+    assert PlaceClassification._fields == ("place", "multiplier_norm")
+    for norm, kind in ((Fraction(1, 3), "attractive"), (1, "indifferent"), (3, "repelling")):
+        assert PlaceClassification(Place(3), Fraction(norm)).kind is Stability(kind)
 
 
 def test_classify_at_seven_is_indifferent():

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from adelicdyn import cli as cli_module
+from adelicdyn import errors
 from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
 from adelicdyn.exact import MAX_PRIME_SCAN, int_digit_limit
@@ -88,6 +89,14 @@ def test_exit_code_resource_guard():
     assert b"cofactor" in err
 
 
+def test_each_error_class_carries_its_exit_code():
+    bases = {errors.ResourceLimitError: 4, errors.MathDomainError: 3, errors.AdelicDynError: 2}
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    for cls in classes:
+        code = next(code for base, code in bases.items() if issubclass(cls, base))
+        assert cls.exit_code == code, cls
+
+
 def test_factorization_error_names_the_bound_that_decides_it():
     result = run_cli(["--factor-bound", "2", "product-formula", "-r", "25"])
     assert_one_error_line(result, code=4)
@@ -115,30 +124,35 @@ def test_factorization_error_on_a_long_input_is_one_short_line(args):
 BIG = "1" + "0" * 4000
 
 
+#: How a message shows BIG, or a number made from it.
+BITS = b"-bit integer>"
+
+
 @pytest.mark.parametrize(
-    "args,code",
+    "args,code,shows",
     [
-        (["classify", "--map", f"{BIG},1,1,1"], 3),
-        (["classify", "--map", ",".join([BIG] * 4)], 2),
-        (["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "3", "--xi", BIG], 2),
-        (["cross-ratio", "--map", f"1,0,1,{BIG}", "--points", f"-{BIG},0,1,2"], 2),
-        (["adele-step", "--map", "1/2,0,1,2", "--real", "1", "--elsewhere", f"1/{BIG}"], 2),
-        (["product-formula", "-r", f"{BIG}/0"], 2),
-        (["--factor-bound", f"-{BIG}", "product-formula", "-r", "6"], 2),
-        (["modular", "--family", BIG, "--c", "1"], 2),
-        (["--bit-guard", BIG, "iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "3"], 4),
-        (["--audit-primes", BIG, "classify", "--map", "1/2,0,1,2"], 4),
+        (["classify", "--map", f"{BIG},1,1,1"], 3, BITS),
+        # a singular map's message shows no coefficient at all
+        (["classify", "--map", ",".join([BIG] * 4)], 2, b"error: '--map': ad - bc = 0\n"),
+        (["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "3", "--xi", BIG], 2, BITS),
+        (["cross-ratio", "--map", f"1,0,1,{BIG}", "--points", f"-{BIG},0,1,2"], 2, BITS),
+        (["adele-step", "--map", "1/2,0,1,2", "--real", "1", "--elsewhere", f"1/{BIG}"], 2, BITS),
+        (["product-formula", "-r", f"{BIG}/0"], 2, BITS),
+        (["--factor-bound", f"-{BIG}", "product-formula", "-r", "6"], 2, BITS),
+        (["modular", "--family", BIG, "--c", "1"], 2, BITS),
+        (["--bit-guard", BIG, "iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "3"], 4, BITS),
+        (["--audit-primes", BIG, "classify", "--map", "1/2,0,1,2"], 4, BITS),
     ],
     ids=[
         "discriminant", "singular", "xi", "pole", "tail", "zero-denominator",
         "factor-bound", "family", "bit-guard", "audit-primes",
     ],
 )
-def test_a_long_number_in_a_message_is_shown_by_its_bit_size(args, code):
+def test_a_long_number_in_a_message_is_shown_by_its_bit_size(args, code, shows):
     result = run_cli(args)
     assert_one_error_line(result, code=code)
     assert len(result[2].rstrip(b"\n")) <= 200, result[2][:300]
-    assert b"-bit integer>" in result[2]
+    assert shows in result[2]
 
 
 @pytest.mark.skipif(not int_digit_limit(), reason="the interpreter prints any integer")
@@ -198,6 +212,30 @@ def test_case_command_validation():
     assert run_cli(["case", "--tag", "A", "--a", "1/2"])[0] == 2  # missing --c
     assert run_cli(["case", "--tag", "B", "--t", "1"])[0] == 3  # collapses to c = 0
     assert run_cli(["case", "--tag", "B", "--t", "3", "--a", "1"])[0] == 2
+
+
+def test_case_command_builds_the_signed_families():
+    for tag, sign, c in (("C", "-", "2"), ("D", "+", "3")):
+        code, out, err = run_cli(
+            ["--format", "json", "case", "--tag", tag, "--sign", sign, "--c", c]
+        )
+        assert code == 0, err
+        assert tag in json.loads(out)["cases"]
+
+
+def test_classify_lists_no_case_for_a_non_square_det():
+    code, out, err = run_cli(["--format", "json", "classify", "--map", "1,0,1,2"])
+    assert code == 0, err
+    assert json.loads(out)["cases"] == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--principal", "1", "--real", "1"], ["--real", "1"]],
+    ids=["principal-and-real", "no-elsewhere"],
+)
+def test_adele_step_needs_one_way_to_give_the_adele(flags):
+    assert_one_error_line(run_cli(["adele-step", "--map", "1/2,0,1,2", *flags]))
 
 
 def test_cross_ratio_rejects_repeated_points():
@@ -705,8 +743,14 @@ ADELE_AT = [
         [*ITERATE_START, LONG_X],
         [*ITERATE_START, "\u0663" * 5000],
         ["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", LONG_X],
+        [LONG_X],
+        ["iterate", "--map", "1/2,0,1,2", "--x0", "1", "--place", "3", LONG_X],
+        ["classify", "--map", ",".join([f"-{2**105}/{3**66}"] * 4)],
     ],
-    ids=["r-plus", "map-x", "map-count", "points", "at", "x0", "x0-arabic", "place"],
+    ids=[
+        "r-plus", "map-x", "map-count", "points", "at", "x0", "x0-arabic", "place",
+        "command", "stray", "singular-map",
+    ],
 )
 def test_malformed_over_long_values_are_not_echoed(args):
     # the malformed value is the last argument

@@ -523,6 +523,9 @@ def test_local_multiplier_radius_examples():
         local_multiplier_radius(MoebiusMap(2, 1, 0, 1), 0, 3)
     with pytest.raises(PoleInput, match="-2 is the pole"):
         local_multiplier_radius(CASE_A_MAP, -2, 3)
+    # the map fixes only -3/2 and 0
+    with pytest.raises(NotAFixedPoint, match="5 is not fixed by the map"):
+        local_multiplier_radius(CASE_A_MAP, 5, 3)
 
 
 def test_linearization_law():
@@ -726,3 +729,4 @@ def test_product_formula_breakdown():
     trivial = verify_product_formula(1)
     assert trivial.factors == ((REAL, Fraction(1)),)
     assert trivial.product == 1
+    assert type(report)._fields == ("r", "factors")

@@ -11,6 +11,7 @@ from adelicdyn.errors import (
     InputError,
     NonRationalFixedPoints,
     NonSquareDeterminant,
+    NotAFixedPoint,
     ParseError,
     PoleInput,
     SingularMap,
@@ -34,7 +35,7 @@ def test_construction_records_det():
 
 
 def test_construction_rejects_singular():
-    with pytest.raises(SingularMap):
+    with pytest.raises(SingularMap, match=r"^ad - bc = 0$"):
         MoebiusMap(1, 2, 2, 4)
 
 
@@ -60,6 +61,15 @@ def test_apply_examples():
     with pytest.raises(PoleInput):
         CASE_A_MAP.apply(-2)
     assert CASE_A_MAP.pole == -2
+
+
+def test_check_fixed_point():
+    assert CASE_A_MAP.check_fixed_point("-3/2") == Fraction(-3, 2)
+    assert type(CASE_A_MAP.check_fixed_point(0)) is Fraction
+    with pytest.raises(NotAFixedPoint, match="^5 is not fixed by the map$"):
+        CASE_A_MAP.check_fixed_point(5)
+    with pytest.raises(PoleInput):
+        CASE_A_MAP.check_fixed_point(-2)
 
 
 def test_derivative_examples():
