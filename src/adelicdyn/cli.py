@@ -154,18 +154,19 @@ class Parser(ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         # stock argparse names an unknown flag only after the missing flag
         # or bad command it caused; here it is named first.  The global
-        # parser reads up to the command, a sub-parser all its arguments.
+        # parser reads up to its command slot, a sub-parser all its arguments.
         args = sys.argv[1:] if args is None else list(args)
+        value = False  # whether arg is the value of the flag before it
         for arg in args:
-            if arg == "--" or arg in getattr(self, "commands", ()):
-                break
             flag = arg.partition("=")[0] if arg.startswith("--") else arg[:2]
-            if (
-                len(arg) > 1 and arg[0] == "-"
-                and not self._negative_number_matcher.match(arg)
-                and flag not in self._option_string_actions
-            ):
+            if len(arg) < 2 or arg[0] != "-" or self._negative_number_matcher.match(arg):
+                if not value and hasattr(self, "commands"):
+                    break  # the command slot: the first argument no flag takes
+            elif arg == "--":
+                break
+            elif flag not in self._option_string_actions:
                 self.error(f"unrecognized flag {shown(arg)}")
+            value = flag in self._option_string_actions and "=" not in arg
         return super().parse_known_args(args, namespace)
 
     # stock argparse repeats a stray argument or an unknown command in full;

@@ -38,7 +38,7 @@ from .exact import (
     strip_prime,
 )
 from .moebius import MoebiusMap
-from .padic import REAL, Place, norm_support, place_norm, valuation
+from .padic import REAL, Place, norm_support, place_norm
 
 DEFAULT_MAX_STEPS = 10_000
 #: The largest bit size whose integers print within int_digit_limit()
@@ -129,7 +129,7 @@ def iterate_at_place(
 
     else:
         p = v.p
-        xi_den_nu = valuation(xi_den, p)
+        xi_den_nu = strip_prime(xi_den, p)[1]
         norms: dict[int, Fraction] = {}  # p^-nu by nu, for this call only
 
         def distance(num: int, den: int) -> tuple[Fraction, int | None]:
@@ -302,7 +302,9 @@ def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
         raise NotIndifferent(
             f"|f'({shown(xi)})|_{shown(p)} = {shown(cls.multiplier_norm)}, not 1"
         )
-    return local_multiplier_radius(m, xi, p)
+    if m.c == 0:
+        raise CIsZero("locality radius needs c != 0")
+    return _locality_radius(m, xi, cls.place)
 
 
 class BasinPoint(NamedTuple):

@@ -256,7 +256,7 @@ def is_prime(n: int) -> bool:
 MAX_PRIME_SCAN = 10**6
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def primes_upto(limit: int) -> tuple[int, ...]:
     """All primes <= limit, ascending (sieve of Eratosthenes).
 

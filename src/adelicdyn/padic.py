@@ -4,8 +4,9 @@ A place is either the real absolute value or the p-adic norm of a prime p;
 every norm computed here is an exact Fraction (a power of p, or |r|), never
 a float, so all ultrametric comparisons in the rest of the library are
 exact.  `norm_support` alone finds the finitely many places where a
-rational's norm is not 1.  Digit expansions are least significant first:
-x = p^nu (x_0 + x_1 p + x_2 p^2 + ...).
+rational's norm is not 1.  `Place` is the only primality gate; a function
+given a bare p builds `Place(p)`.  Digit expansions are least significant
+first: x = p^nu (x_0 + x_1 p + x_2 p^2 + ...).
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from .exact import RationalLike, factorize, is_prime, parse_integer, shown, stri
 INFINITE = math.inf
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"{shown(p)} is not a prime, so not a finite place")
-
-
 @dataclass(frozen=True)
 class Place:
     """The real place (p is None) or the finite place of a prime p."""
@@ -34,8 +30,8 @@ class Place:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None:
-            _check_prime(self.p)
+        if self.p is not None and not is_prime(self.p):
+            raise NotPrime(f"{shown(self.p)} is not a prime, so not a finite place")
 
     @property
     def is_real(self) -> bool:
@@ -54,28 +50,29 @@ class Place:
 REAL = Place()
 
 
-def valuation(r: RationalLike, p: int) -> int | float:
-    """Exponent of p in r (so r = p^nu * unit); INFINITE for r = 0."""
-    _check_prime(p)
-    r = Fraction(r)
+def _exponent(p: int, r: Fraction) -> int | float:
+    """Exponent of the proven prime p in r; INFINITE for r = 0."""
     if r == 0:
         return INFINITE
     return strip_prime(r.numerator, p)[1] - strip_prime(r.denominator, p)[1]
 
 
+def valuation(r: RationalLike, p: int) -> int | float:
+    """Exponent of p in r (so r = p^nu * unit); INFINITE for r = 0."""
+    return _exponent(Place(p).p, Fraction(r))
+
+
 def padic_norm(r: RationalLike, p: int) -> Fraction:
     """|r|_p = p^(-valuation); |0|_p = 0. Exact."""
-    nu = valuation(r, p)
-    if nu == INFINITE:
-        return Fraction(0)
-    return Fraction(p) ** -nu
+    return place_norm(r, Place(p))
 
 
 def place_norm(r: RationalLike, v: Place) -> Fraction:
     """|r|_v: plain absolute value at the real place, p-adic norm otherwise."""
     if v.is_real:
         return abs(Fraction(r))
-    return padic_norm(r, v.p)
+    nu = _exponent(v.p, Fraction(r))
+    return Fraction(0) if nu == INFINITE else Fraction(v.p) ** -nu
 
 
 def norm_support(r: RationalLike, bound: int) -> tuple[tuple[Place, Fraction], ...]:

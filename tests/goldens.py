@@ -1,8 +1,9 @@
-"""Golden-file contract for the CLI.
+"""Golden-file contract for the CLI and the demos.
 
 Each entry runs one subcommand with --format json on a fixture map; the
-bytes on stdout are frozen under tests/golden/.  Regenerate deliberately
-with `python tests/goldens.py` after a reviewed schema change.
+bytes on stdout are frozen under tests/golden/, and each demo's stdout
+under tests/golden/demos/.  Regenerate deliberately with
+`python tests/goldens.py` after a reviewed schema change.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DEMO_GOLDEN_DIR = GOLDEN_DIR / "demos"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 GOLDEN_COMMANDS = [
     ("classify_case_a", ["--format", "json", "classify", "--map", "1/2,0,1,2"]),
@@ -59,17 +63,23 @@ GOLDEN_COMMANDS = [
 ]
 
 
-def run_cli(args: list[str], env_extra: dict[str, str] | None = None):
-    """Invoke the CLI in a subprocess with ADELICDYN_* stripped from the env."""
+def _run(argv: list[str], env_extra: dict[str, str] | None = None):
+    """Run argv in a subprocess with ADELICDYN_* stripped from the env."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "adelicdyn", *args],
-        capture_output=True,
-        env=env,
-    )
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(args: list[str], env_extra: dict[str, str] | None = None):
+    """Invoke the CLI in a subprocess with ADELICDYN_* stripped from the env."""
+    return _run([sys.executable, "-m", "adelicdyn", *args], env_extra)
+
+
+def run_demo(demo: Path):
+    """Run one demo script against the library in src/."""
+    return _run([sys.executable, str(demo)], {"PYTHONPATH": str(ROOT / "src")})
 
 
 def regenerate() -> None:
@@ -80,6 +90,13 @@ def regenerate() -> None:
             raise SystemExit(f"{name}: exit {code}: {err.decode()}")
         (GOLDEN_DIR / f"{name}.json").write_bytes(out)
         print(f"wrote golden/{name}.json ({len(out)} bytes)")
+    DEMO_GOLDEN_DIR.mkdir(exist_ok=True)
+    for demo in DEMOS:
+        code, out, err = run_demo(demo)
+        if code != 0:
+            raise SystemExit(f"{demo.name}: exit {code}: {err.decode()}")
+        (DEMO_GOLDEN_DIR / f"{demo.stem}.txt").write_bytes(out)
+        print(f"wrote golden/demos/{demo.stem}.txt ({len(out)} bytes)")
 
 
 if __name__ == "__main__":

@@ -355,6 +355,24 @@ def test_flag_abbreviations_are_refused(args, flag):
     assert repr(flag).encode() in result[2], result[2]
 
 
+@pytest.mark.parametrize(
+    "args,command",
+    [
+        (["foo", "--map", "1"], "foo"),
+        (["--format", "json", "foo", "--map", "1"], "foo"),
+        (["--max-steps", "5", "bar", "--xi", "0"], "bar"),
+    ],
+    ids=["first", "after-a-flag", "after-a-count"],
+)
+def test_an_unknown_command_is_named_before_its_flags(args, command):
+    assert run_cli(args) == (2, b"", f"error: unknown command '{command}'\n".encode())
+
+
+def test_no_arguments_at_all_name_the_missing_command():
+    expected = b"error: the following arguments are required: COMMAND\n"
+    assert run_cli([]) == (2, b"", expected)
+
+
 #: Exit codes when the reader closes the pipe after a few bytes, with
 #: stdout buffered (the default) or not (PYTHONUNBUFFERED).  Every format
 #: is written until every byte is out, so a closed pipe always fails.

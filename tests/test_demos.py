@@ -1,14 +1,9 @@
-"""Every demo script runs to completion against the library in src/."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every demo script runs to completion against the library in src/ and
+prints its pinned stdout."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from goldens import DEMO_GOLDEN_DIR, DEMOS, run_demo
 
 
 def test_all_five_demos_are_found():
@@ -17,10 +12,6 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_cleanly(demo):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-    assert proc.stdout
+    code, out, err = run_demo(demo)
+    assert code == 0, err.decode()[-2000:]
+    assert out == (DEMO_GOLDEN_DIR / f"{demo.stem}.txt").read_bytes()

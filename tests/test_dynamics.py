@@ -645,6 +645,23 @@ def test_principal_adele_and_step():
         assert stepped.component(v) == Fraction(1, 6)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    coefficients=st.tuples(*[SMALL_RATIONALS] * 4),
+    r=st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4)),
+)
+def test_step_adele_of_a_principal_adele_is_principal(coefficients, r):
+    a, b, c, d = coefficients
+    assume(a * d - b * c != 0 and c * r + d != 0)
+    m = MoebiusMap(a, b, c, d)
+    point = principal_adele(r)
+    stepped, image = step_adele(m, point), principal_adele(m.apply(r))
+    assert set(stepped.listed_primes()) >= set(point.listed_primes())
+    listed = set(stepped.listed_primes()) | set(image.listed_primes())
+    for v in (REAL, *map(Place, sorted(listed))):
+        assert stepped.component(v) == image.component(v) == m.apply(r)
+
+
 def test_step_adele_fixed_point_is_unchanged():
     point = principal_adele(0)
     assert step_adele(CASE_A_MAP, point) == point

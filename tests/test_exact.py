@@ -279,6 +279,15 @@ def test_prime_scan_is_capped():
         primes_upto(MAX_PRIME_SCAN + 1)
 
 
+def test_the_sieve_keeps_few_limits():
+    # each limit near the cap holds a 78,498-entry tuple
+    maxsize = primes_upto.cache_info().maxsize
+    assert maxsize is not None
+    for limit in range(1000, 1000 + 4 * maxsize):
+        assert primes_upto(limit) == tuple(sympy.primerange(limit + 1))
+    assert primes_upto.cache_info().currsize <= maxsize
+
+
 def trial_division_is_prime(n, limit=10**6):
     """n's primality by trial division to isqrt(n); None when that passes limit."""
     if n < 2:

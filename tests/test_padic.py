@@ -6,8 +6,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adelicdyn.dynamics import verify_product_formula
+from adelicdyn import padic
+from adelicdyn.classification import adelic_report
+from adelicdyn.dynamics import iterate_at_place, siegel_max_radius, verify_product_formula
 from adelicdyn.errors import (
     FactorizationIncomplete,
     InputError,
@@ -16,6 +20,7 @@ from adelicdyn.errors import (
     ZeroInput,
 )
 from adelicdyn.exact import DEFAULT_FACTOR_BOUND as BOUND
+from adelicdyn.moebius import MoebiusMap
 from adelicdyn.padic import (
     INFINITE,
     PAdicExpansion,
@@ -242,3 +247,87 @@ def test_ball_any_point_serves_as_center():
         for _ in range(20):
             x = rand_rational(rng, 60)
             assert ball_contains(a, mu, x, p) == ball_contains(b, mu, x, p)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PRIMES = st.sampled_from((2, 3, 5, 7, 11, 101, 1_000_003, 10**12 + 39))
+COMPOSITES = (4, 6, 9, 15, 561)
+
+
+@PROPERTY
+@given(
+    n=st.one_of(
+        st.integers(-10, 2 * 10**6), st.integers(10**12 - 10**4, 10**12 + 10**4)
+    )
+)
+def test_place_is_built_exactly_for_primes(n):
+    try:
+        Place(n)
+    except NotPrime:
+        assert not sympy.isprime(n)
+    else:
+        assert sympy.isprime(n)
+
+
+@PROPERTY
+@given(
+    p=PRIMES,
+    num=st.integers(1, 10**6),
+    den=st.integers(1, 10**6),
+    sign=st.sampled_from((1, -1)),
+    e_num=st.integers(0, 5),
+    e_den=st.integers(0, 5),
+)
+def test_valuation_and_norms_match_sympy(p, num, den, sign, e_num, e_den):
+    r = Fraction(sign * num * p**e_num, den * p**e_den)
+    nu = sympy.multiplicity(p, abs(r.numerator)) - sympy.multiplicity(p, r.denominator)
+    assert valuation(r, p) == nu
+    assert padic_norm(r, p) == place_norm(r, Place(p)) == Fraction(p) ** -nu
+
+
+@pytest.mark.parametrize("p", COMPOSITES)
+def test_every_bare_prime_is_proven_by_place(p):
+    message = f"{p} is not a prime, so not a finite place"
+    calls = (
+        lambda: valuation(Fraction(5, 3), p),
+        lambda: padic_norm(Fraction(5, 3), p),
+        lambda: padic_distance(1, Fraction(1, 2), p),
+        lambda: ball_contains(0, 1, Fraction(2, 7), p),
+        lambda: padic_expansion(Fraction(-7, 2), p, 3),
+    )
+    for call in calls:
+        with pytest.raises(NotPrime, match=f"^{message}$"):
+            call()
+
+
+def test_each_prime_and_fixed_point_is_proven_once(monkeypatch):
+    m = MoebiusMap(Fraction(1, 2), 0, 1, 2)
+    v = Place(3)
+    calls = {"primes": 0, "fixed_points": 0}
+    is_prime, check_fixed_point = padic.is_prime, MoebiusMap.check_fixed_point
+
+    def proving(n):
+        calls["primes"] += 1
+        return is_prime(n)
+
+    def checking(self, xi):
+        calls["fixed_points"] += 1
+        return check_fixed_point(self, xi)
+
+    monkeypatch.setattr(padic, "is_prime", proving)
+    monkeypatch.setattr(MoebiusMap, "check_fixed_point", checking)
+    # (call, primality proofs, fixed-point checks); a Place proves its
+    # prime once, and a norm at that Place proves nothing again
+    expected = {
+        "place_norm": (lambda: place_norm(12, v), 0, 0),
+        "norm_support": (lambda: norm_support(Fraction(-10, 21), 10**6), 4, 0),
+        "adelic_report": (lambda: adelic_report(m), 2, 0),
+        "iterate_at_place": (lambda: iterate_at_place(m, 3, 0, v, max_steps=24), 0, 1),
+        "siegel_max_radius": (lambda: siegel_max_radius(m, 0, 3), 1, 1),
+        "valuation": (lambda: valuation(12, 3), 1, 0),
+        "padic_norm": (lambda: padic_norm(12, 3), 1, 0),
+    }
+    for name, (call, primes, fixed_points) in expected.items():
+        calls.update(primes=0, fixed_points=0)
+        call()
+        assert calls == {"primes": primes, "fixed_points": fixed_points}, name
