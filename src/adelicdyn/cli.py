@@ -6,6 +6,8 @@ stderr; csv and table rows are read from the JSON document.  Exit codes
 are a stable contract: 0 success, 2 bad input, 3 mathematics outside the
 rational scope, 4 a tripped resource guard.  Every failure, the argument
 parser's included, leaves through `main()` as one `error:` line on stderr.
+A left-to-right scan names the first unknown flag (`--` included),
+unknown command or stray argument before any value is read.
 Every flag is one row of the table `COMMANDS`; its value is read by a
 library parser, so its error names the flag and shows the value as
 `exact.shown` does, short however long.  All flags can also be set through
@@ -152,34 +154,29 @@ class Parser(ArgumentParser):
         return values
 
     def parse_known_args(self, args=None, namespace=None):
-        # stock argparse names an unknown flag only after the missing flag
-        # or bad command it caused; here it is named first.  The global
-        # parser reads up to its command slot, a sub-parser all its arguments.
+        # stock argparse names a bad flag or command only after the errors
+        # it causes, and repeats a stray argument in full.  From the command
+        # on, the scan reads the sub-parser's flags: its own scan finds nothing.
         args = sys.argv[1:] if args is None else list(args)
-        value = False  # whether arg is the value of the flag before it
+        parser, value = self, False  # value: whether arg follows a flag as its value
         for arg in args:
-            flag = arg.partition("=")[0] if arg.startswith("--") else arg[:2]
-            if len(arg) < 2 or arg[0] != "-" or self._negative_number_matcher.match(arg):
-                if not value and hasattr(self, "commands"):
-                    break  # the command slot: the first argument no flag takes
-            elif arg == "--":
-                break
-            elif flag not in self._option_string_actions:
-                self.error(f"unrecognized flag {shown(arg)}")
-            value = flag in self._option_string_actions and "=" not in arg
+            if value:
+                value = False
+            elif len(arg) < 2 or arg[0] != "-" or self._negative_number_matcher.match(arg):
+                if not hasattr(parser, "commands"):
+                    self.error(f"unrecognized argument {shown(arg)}")
+                if arg not in parser.commands:
+                    self.error(f"unknown command {shown(arg)}")
+                parser = parser.commands[arg]
+            else:
+                flag = arg.partition("=")[0] if arg[1] == "-" else arg[:2]
+                action = parser._option_string_actions.get(flag)
+                if action is None:
+                    self.error(f"unrecognized flag {shown(arg)}")
+                if action.nargs == 0:
+                    break  # a help flag: argparse prints the help
+                value = arg == flag
         return super().parse_known_args(args, namespace)
-
-    # stock argparse repeats a stray argument or an unknown command in full;
-    # here the first is shown as `exact.shown` does
-    def parse_args(self, args=None, namespace=None):
-        namespace, stray = self.parse_known_args(args, namespace)
-        if stray:
-            self.error(f"unrecognized argument {shown(stray[0])}")
-        return namespace
-
-    def _check_value(self, action, value):  # a flag's reader checks its choices
-        if action.choices is not None and value not in action.choices:
-            self.error(f"unknown command {shown(value)}")
 
     def error(self, message):
         raise InputError(message)

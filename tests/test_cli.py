@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import json
 import os
 import re
@@ -11,15 +13,18 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelicdyn import cli as cli_module
 from adelicdyn import errors
 from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
-from adelicdyn.exact import MAX_PRIME_SCAN, int_digit_limit
-from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+from adelicdyn.exact import MAX_PRIME_SCAN, int_digit_limit, shown
+from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, _run, run_cli
 
 #: Longer than the interpreter's default int/str conversion limit (4300).
 HUGE = "7" * 5000
@@ -371,6 +376,152 @@ def test_an_unknown_command_is_named_before_its_flags(args, command):
 def test_no_arguments_at_all_name_the_missing_command():
     expected = b"error: the following arguments are required: COMMAND\n"
     assert run_cli([]) == (2, b"", expected)
+
+
+#: Each flag's kind, for each entry of `COMMANDS` ("" is global), help aside.
+FLAG_KINDS = {
+    command: {name: kind for spec, kind, *_ in specs for name in spec.split("/")}
+    for command, (_, *specs) in COMMANDS.items()
+}
+HELP_FLAGS = ("-h", "--help")
+COMMAND_NAMES = [c for c in COMMANDS if c]
+VALUES = st.one_of(
+    st.sampled_from(["1/2,0,1,2", "-1/3", "real", "x", "-", "2=1/2", "json", "E"]),
+    st.integers(-50, 50).map(str),
+)
+#: Commands, every flag, help flags, '--', unknown flags and values.
+TOKENS = st.one_of(
+    st.sampled_from(
+        COMMAND_NAMES
+        + sorted(set().union(*FLAG_KINDS.values()))
+        + [*HELP_FLAGS, "--", "--nope", "--ma", "-x"]
+    ),
+    VALUES,
+)
+
+
+def _pair(command):
+    """One of the command's own flags ("" is global) and a value."""
+    return st.tuples(st.sampled_from(sorted(FLAG_KINDS[command])), VALUES).map(list)
+
+
+def _argv_around(command):
+    """Up to 8 tokens around the command, so that its parser is reached;
+    help flags are drawn more often there, so that some argv reach one."""
+    single = st.one_of(TOKENS, st.sampled_from(HELP_FLAGS)).map(lambda t: [t])
+    tail = st.lists(st.one_of(single, _pair(command)), max_size=4)
+    return st.tuples(st.lists(_pair(""), max_size=1), tail).map(
+        lambda parts: [*sum(parts[0], []), command, *sum(parts[1], [])][:8]
+    )
+
+
+ARGV = st.one_of(
+    st.lists(TOKENS, max_size=8), st.sampled_from(COMMAND_NAMES).flatmap(_argv_around)
+)
+
+
+def _reads(kind, text):
+    """Whether a flag of this kind takes the text as its value."""
+    if isinstance(kind, tuple):
+        return text in kind
+    try:
+        kind(text)
+    except errors.AdelicDynError:
+        return False
+    return True
+
+
+def _first_structural_error(argv):
+    """(kind, token) for the first structural error in argv, or ("help",
+    flag) if a help flag comes first; None if neither does, or if a value
+    before the help flag is bad.  Read from the flag table alone: every
+    known flag takes the next argument."""
+    command, kind, read = "", None, True  # read: every value so far is good
+    for arg in argv:
+        if kind is not None:
+            kind, read = None, read and _reads(kind, arg)
+        elif arg in HELP_FLAGS:
+            return ("help", arg) if read else None
+        elif arg in FLAG_KINDS[command]:
+            kind = FLAG_KINDS[command][arg]
+        elif arg.startswith("-") and arg != "-" and not arg[1].isdigit():
+            return "unrecognized flag", arg
+        elif command:
+            return "unrecognized argument", arg
+        elif arg not in COMMAND_NAMES:
+            return "unknown command", arg
+        else:
+            command = arg
+    return None
+
+
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of main() on argv, run in this process
+    with ADELICDYN_* stripped and short orbits."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
+    env["ADELICDYN_MAX_STEPS"] = "8"
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    code = 0
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, env, clear=True))
+        stack.enter_context(mock.patch.object(sys, "argv", ["adelicdyn", *argv]))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            main()
+        except SystemExit as exc:  # anything else escapes and fails the test
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=ARGV)
+def test_the_first_structural_error_is_named(argv):
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.rstrip("\n").encode()) <= 200
+    found = _first_structural_error(argv)
+    if found is None:
+        assert not err.startswith(("error: unrecognized", "error: unknown command")), err
+    elif found[0] == "help":
+        assert (code, err) == (0, "") and out.startswith("usage: ")
+    else:
+        assert (code, err) == (2, f"error: {found[0]} {shown(found[1])}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (["-h", "foo", "--map", "1"], None),
+        (["classify", "stray", "-h"], "unrecognized argument 'stray'"),
+        (["classify", "stray"], "unrecognized argument 'stray'"),
+        (["--max-steps", "x", "classify", "stray"], "unrecognized argument 'stray'"),
+        (["--format", "case", "real"], "unknown command 'real'"),
+        (["--"], "unrecognized flag '--'"),
+        (["classify", "--map", "1/2,0,1,2", "--"], "unrecognized flag '--'"),
+    ],
+    ids=[
+        "help-first", "stray-before-help", "stray", "stray-after-a-bad-value",
+        "command-as-value", "dashes", "dashes-last",
+    ],
+)
+def test_one_scan_names_the_first_bad_argument(args, expected):
+    code, out, err = run_cli(args)
+    if expected is None:
+        assert (code, err) == (0, b"") and out.startswith(b"usage: adelicdyn ")
+    else:
+        assert (code, out, err) == (2, b"", f"error: {expected}\n".encode())
+
+
+def test_the_cli_module_runs_as_a_script():
+    args = ["product-formula", "-r", "6"]
+    expected = run_cli(args)
+    assert expected[0] == 0 and expected[1]
+    assert _run([sys.executable, "-m", "adelicdyn.cli", *args]) == expected
 
 
 #: Exit codes when the reader closes the pipe after a few bytes, with

@@ -559,6 +559,14 @@ def test_siegel_max_radius_examples():
         siegel_max_radius(CASE_A_MAP, 0, 2)
 
 
+def test_siegel_max_radius_checks_the_multiplier_before_c():
+    doubling = MoebiusMap(2, 0, 0, 1)
+    with pytest.raises(NotIndifferent, match=r"^\|f'\(0\)\|_2 = 1/2, not 1$"):
+        siegel_max_radius(doubling, 0, 2)
+    with pytest.raises(CIsZero):
+        siegel_max_radius(doubling, 0, 3)
+
+
 def test_siegel_spheres_are_invariant():
     rho = siegel_max_radius(CASE_A_MAP, 0, 3)
     for x0 in (3, Fraction(3, 2), 9, Fraction(9, 4), 6):

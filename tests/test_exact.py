@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelicdyn.errors import (
     FactorizationIncomplete,
@@ -353,6 +355,38 @@ def test_factorize_proves_a_cofactor_above_bound_squared():
     for n in (MR_LIMIT, 2**127 - 1):
         with pytest.raises(FactorizationIncomplete):
             factorize(n)
+
+
+def _drawn_prime(low, high):
+    return st.integers(low, high).map(sympy.nextprime)
+
+
+def _signed_numbers(bound):
+    """Any n below 10^12, a small multiple of a prime in [10^8, 10^12], or
+    a product of two primes above the bound; either sign."""
+    magnitude = st.one_of(
+        st.integers(1, 10**12 - 1),
+        st.builds(int.__mul__, st.integers(1, 1000), _drawn_prime(10**8, 10**12)),
+        st.builds(int.__mul__, _drawn_prime(bound, 10**7), _drawn_prime(bound, 10**7)),
+    )
+    return st.builds(int.__mul__, magnitude, st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bound=st.sampled_from((2, 3, 5, 100, 10**4)), data=st.data())
+def test_factorize_matches_sympy(bound, data):
+    n = data.draw(_signed_numbers(bound))
+    expected = sympy.factorint(abs(n))
+    # 2 and 3 are always stripped; what is left above the bound is never
+    # divided, so it must be 1 or proven prime
+    rest = math.prod(p**e for p, e in expected.items() if p > max(bound, 3))
+    if rest == 1 or sympy.isprime(rest):
+        fact = factorize(n, bound)
+        assert fact.sign == (1 if n > 0 else -1)
+        assert dict(fact.factors) == expected
+    else:
+        with pytest.raises(FactorizationIncomplete):
+            factorize(n, bound)
 
 
 def test_perfect_square_examples():
