@@ -10,8 +10,9 @@ A left-to-right scan names the first unknown flag (`--` included),
 unknown command or stray argument before any value is read.
 Every flag is one row of the table `COMMANDS`; its value is read by a
 library parser, so its error names the flag and shows the value as
-`exact.shown` does, short however long.  All flags can also be set through
-ADELICDYN_* environment variables.  The command line is read with the
+`exact.shown` does, short however long.  A flag that sets a resource limit
+has a row in `exact.LIMITS`, whose cap its help states.  All flags can also
+be set through ADELICDYN_* environment variables.  The command line is read with the
 standard library's argparse: the package has no runtime dependency.
 """
 
@@ -42,8 +43,6 @@ from .classification import (
     recognize_case,
 )
 from .dynamics import (
-    DEFAULT_BIT_GUARD,
-    DEFAULT_MAX_STEPS,
     AdelePoint,
     Termination,
     basin_sample,
@@ -61,8 +60,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .exact import (
-    DEFAULT_FACTOR_BOUND,
-    MAX_PRIME_SCAN,
+    BASIN_WORK,
+    BIT_GUARD,
+    FACTOR_BOUND,
+    LIMITS,
+    ORBIT_STEPS,
+    STEP_BITS,
     int_digit_limit,
     is_perfect_square,
     parse_integer,
@@ -131,6 +134,9 @@ class Parser(ArgumentParser):
             self.flags.append((dest, env, read, default))
             if default not in (None, REQUIRED, ()):
                 text += f" [default: {default}]"
+            limit = LIMITS.get(names[-1])
+            if limit:
+                text += f" [{limit.cost + ' ' if limit.cost else ''}at most {limit.cap}]"
             self.add_argument(
                 *names, dest=dest, type=read, help=text,
                 choices=kind if isinstance(kind, tuple) else None,
@@ -173,8 +179,10 @@ class Parser(ArgumentParser):
                 action = parser._option_string_actions.get(flag)
                 if action is None:
                     self.error(f"unrecognized flag {shown(arg)}")
-                if action.nargs == 0:
-                    break  # a help flag: argparse prints the help
+                if action.nargs == 0:  # a help flag: argparse prints the help
+                    if arg != flag:  # '-hx' or '--help=x'
+                        self.error(f"unrecognized flag {shown(arg)}")
+                    break
                 value = arg == flag
         return super().parse_known_args(args, namespace)
 
@@ -253,11 +261,20 @@ def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
     return max(points)
 
 
+def _orbit_steps(cfg: Namespace, steps: int | None = None) -> int:
+    """The steps of an orbit: `steps` (from --steps) if given, else
+    --max-steps.  Refused when the bit guard passes its cap, or when the
+    recorded steps might not fit in memory at that guard."""
+    weight = BIT_GUARD.check(cfg.bit_guard) + STEP_BITS
+    limit = ORBIT_STEPS if steps is None else ORBIT_STEPS._replace(flag="--steps")
+    return limit.check(cfg.max_steps if steps is None else steps, lambda s: s * weight)
+
+
 def iterate(cfg: Namespace, map, x0, place, steps, xi):
     """Exact orbit with per-step distance to a fixed point."""
+    steps = _orbit_steps(cfg, steps)
     if xi is None:
         xi = _default_xi(map, place)
-    steps = steps if steps is not None else cfg.max_steps
     record = iterate_at_place(map, x0, xi, place, steps, bit_guard=cfg.bit_guard)
     doc = {
         "map": map.to_dict(),
@@ -308,9 +325,10 @@ def adele_step(cfg: Namespace, map, principal, real, at, elsewhere):
 
 def basin(cfg: Namespace, map, xi, place, height):
     """Verdict for every canonical fraction up to a height bound."""
-    sample = basin_sample(
-        map, xi, place, height, max_steps=cfg.max_steps, bit_guard=cfg.bit_guard
-    )
+    steps = _orbit_steps(cfg)
+    # at most 2 height + 1 numerators for each of `height` denominators
+    BASIN_WORK.check(height, lambda h: h * (2 * h + 1) * (steps + 1))
+    sample = basin_sample(map, xi, place, height, steps, cfg.bit_guard)
     points = [p.to_dict() for p in sample]
     doc = {
         "map": map.to_dict(),
@@ -396,13 +414,13 @@ COMMANDS = {
     "": (
         None,
         ("--format", ("json", "csv", "table"), "table", "Output format on stdout."),
-        ("--factor-bound", INTEGER, DEFAULT_FACTOR_BOUND, "Largest trial divisor."),
-        ("--max-steps", COUNT, DEFAULT_MAX_STEPS, "Orbit step budget (nonnegative)."),
-        ("--bit-guard", COUNT, DEFAULT_BIT_GUARD, "End an orbit before a point or"
-         " distance whose numerator or denominator passes this many bits (nonnegative,"
-         f" at most {DEFAULT_BIT_GUARD}, the largest size that prints)."),
+        ("--factor-bound", INTEGER, FACTOR_BOUND.default, "Largest trial divisor."),
+        ("--max-steps", COUNT, ORBIT_STEPS.default, "Orbit step budget (nonnegative)."),
+        ("--bit-guard", COUNT, BIT_GUARD.default, "End an orbit before a point or"
+         " distance whose numerator or denominator passes this many bits (nonnegative;"
+         " the cap is the largest size that prints)."),
         ("--audit-primes", COUNT, None, "Re-verify cofinite indifference for all primes"
-         f" up to N (nonnegative, at most {MAX_PRIME_SCAN})."),
+         " up to N (nonnegative)."),
     ),
     "classify": (classify, MAP_FLAG),
     "iterate": (
@@ -410,7 +428,7 @@ COMMANDS = {
         MAP_FLAG,
         ("--x0", RATIONAL, REQUIRED, "Starting point."),
         PLACE_FLAG,
-        ("--steps", COUNT, None, "Nonnegative; defaults to --max-steps."),
+        ("--steps", COUNT, None, "Nonnegative; defaults to --max-steps, and has its cap."),
         ("--xi", RATIONAL, None, "Reference fixed point."),
     ),
     "adele-step": (
@@ -463,11 +481,6 @@ def main():
         parser = Parser(prog="adelicdyn", description="Exact dynamics at every place.")
         args = parser.parse_args()
         cfg = Namespace(**parser.values(args))
-        if cfg.bit_guard > DEFAULT_BIT_GUARD:
-            raise ResourceLimitError(
-                f"--bit-guard {shown(cfg.bit_guard)} is above the cap"
-                f" {DEFAULT_BIT_GUARD} bits"
-            )
         values = parser.commands[args.command].values(args)
         COMMANDS[args.command][0](cfg, **values)
         sys.stdout.flush()  # here, a closed stdout fails inside the try

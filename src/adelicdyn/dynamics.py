@@ -29,24 +29,18 @@ from .errors import (
     ZeroInput,
 )
 from .exact import (
+    DEFAULT_BIT_GUARD,
     DEFAULT_FACTOR_BOUND,
+    DEFAULT_MAX_STEPS,
     RationalLike,
     coprime_fraction,
     factorize,
-    int_digit_limit,
     shown,
     strip_prime,
 )
 from .moebius import MoebiusMap
 from .padic import REAL, Place, norm_support, place_norm
 
-DEFAULT_MAX_STEPS = 10_000
-#: The largest bit size whose integers print within int_digit_limit()
-#: decimal digits (10^6 where the interpreter has no limit); the default
-#: and the cap of the CLI's --bit-guard.
-DEFAULT_BIT_GUARD = (
-    (10 ** int_digit_limit()).bit_length() - 1 if int_digit_limit() else 10**6
-)
 #: An orbit has converged once its distance to xi has strictly decreased
 #: for WINDOW consecutive steps and is below CONVERGENCE_THRESHOLD; every
 #: other verdict is read from the last WINDOW steps of the orbit.

@@ -10,7 +10,9 @@ rational fixed points.  It is the one home of the integer routines:
 `strip_prime` divides out a prime, `_trial_division` is the only
 trial-division loop, and primality below MR_LIMIT is the strong test to
 the 13 prime bases 2 ... 41, proven correct there.  `shown` is the one
-rule for showing a value in an error message.
+rule for showing a value in an error message, and the `Limit` rows below
+hold every resource limit: each flag's default and cap, and the one check
+that refuses a value past the cap.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .errors import (
 
 #: Values accepted wherever a rational is expected; coerced via Fraction().
 RationalLike = Fraction | int | str
-
-#: Trial division gives up beyond this unless asked otherwise.
-DEFAULT_FACTOR_BOUND = 10**6
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -83,6 +82,61 @@ def int_digit_limit() -> int:
     """sys.get_int_max_str_digits(): the most decimal digits an int may
     have in str() and int(); 0 (no limit) where the interpreter has none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class Limit(NamedTuple):
+    """A resource limit: `flag` sets it, to `default` unless given, and
+    `cap` bounds the value or, in a budget, the `cost` computed from it."""
+
+    flag: str
+    default: int | None
+    cap: int
+    cost: str = ""
+
+    def check(self, value: int, cost=int) -> int:
+        """`value` if cost(value) is within the cap; else ResourceLimitError
+        naming the flag, the cap and the largest value that passes.  `cost`
+        rises with the value from cost(0) = 0 and is never below it."""
+        if cost(value) <= self.cap:
+            return value
+        low, high = 0, min(value, self.cap + 1)  # low passes, high does not
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if cost(mid) <= self.cap else (low, mid)
+        on = f" on {self.cost}" if self.cost else ""
+        raise ResourceLimitError(
+            f"{self.flag} {shown(value)} is above the cap {self.cap}{on};"
+            f" {self.flag} {low} passes"
+        )
+
+
+DEFAULT_FACTOR_BOUND = 10**6
+DEFAULT_MAX_STEPS = 10_000
+#: The largest bit size whose integers print within int_digit_limit()
+#: decimal digits (10^6 where the interpreter has no limit).
+DEFAULT_BIT_GUARD = (
+    (10 ** int_digit_limit()).bit_length() - 1 if int_digit_limit() else 10**6
+)
+#: The sieve allocates limit + 1 bytes.
+MAX_PRIME_SCAN = 10**6
+#: A recorded orbit step costs about 4 bytes per bit of its longest part,
+#: plus a fixed cost worth this many bits (fitted to the JSON output:
+#: 1.45 KB per step at 18 bits, 52.9 KB at 12956 bits).
+STEP_BITS = 350
+
+#: Trial division to 10^7 takes half a second.
+FACTOR_BOUND = Limit("--factor-bound", DEFAULT_FACTOR_BOUND, 10**7)
+BIT_GUARD = Limit("--bit-guard", DEFAULT_BIT_GUARD, DEFAULT_BIT_GUARD)
+PRIME_SCAN = Limit("--audit-primes", None, MAX_PRIME_SCAN)
+#: The default orbit at the default bit guard prints in about 0.6 GB.
+ORBIT_STEPS = Limit(
+    "--max-steps", DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS * (DEFAULT_BIT_GUARD + STEP_BITS),
+    f"steps * (bit guard + {STEP_BITS})",
+)
+#: A sweep of height 8 at the default steps passes (about 5 s), 9 does not.
+BASIN_WORK = Limit("--height", None, 1_500_000, "height * (2 height + 1) * (max steps + 1)")
+#: Every limit a flag sets, by its flag.
+LIMITS = {x.flag: x for x in (FACTOR_BOUND, BIT_GUARD, PRIME_SCAN, ORBIT_STEPS, BASIN_WORK)}
 
 
 def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> int:
@@ -158,6 +212,9 @@ def strip_prime(n: int, p: int) -> tuple[int, int]:
 #: to twelve prime bases", Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
+#: From MR_LIMIT on, is_prime proves a number composite by a prime factor
+#: up to this bound; no flag moves it, or MR_LIMIT.
+WITNESS_BOUND = 10**6
 
 
 def _miller_rabin(n: int) -> bool:
@@ -218,6 +275,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
         raise ZeroInput("0 has no prime factorization")
     if bound < 2:
         raise InputError(f"factor bound must be >= 2, got {shown(bound)}")
+    FACTOR_BOUND.check(bound)
     factors = list(_trial_division(abs(n), bound))
     m = abs(n) // math.prod(p**e for p, e in factors)
     if m > 1:
@@ -226,9 +284,14 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
         else:
             # trial division stopped at the bound, below isqrt(m); trial
             # division to isqrt(m) always completes
+            root, cap = math.isqrt(m), FACTOR_BOUND.cap
+            hint = (
+                f"a factor bound of {root} decides it" if root <= cap
+                else f"no factor bound up to the cap {cap} is sure to decide it"
+            )
             raise FactorizationIncomplete(
                 f"cofactor {shown(m)} of {shown(n)} may be composite (bound"
-                f" {shown(bound)}); a factor bound of {shown(math.isqrt(m))} decides it"
+                f" {shown(bound)}); {hint}"
             )
     return Factorization(1 if n > 0 else -1, tuple(factors))
 
@@ -237,23 +300,20 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
 def is_prime(n: int) -> bool:
     """Deterministic primality, proven below MR_LIMIT by the strong test.
 
-    From MR_LIMIT on, a prime factor <= DEFAULT_FACTOR_BOUND proves n
-    composite; without one, ResourceLimitError is raised, since a proof
-    there needs a certificate (such as Pocklington's) that is not built here.
+    From MR_LIMIT on, a prime factor <= WITNESS_BOUND proves n composite;
+    without one, ResourceLimitError is raised, since a proof there needs a
+    certificate (such as Pocklington's) that is not built here.
     """
     if n < MR_LIMIT:
         return n >= 2 and _miller_rabin(n)
-    # n is far above DEFAULT_FACTOR_BOUND**2, so a hit is never n: n is composite
-    if next(_trial_division(n, DEFAULT_FACTOR_BOUND), None) is not None:
+    # n is far above WITNESS_BOUND**2, so a hit is never n: n is composite
+    if next(_trial_division(n, WITNESS_BOUND), None) is not None:
         return False
     raise ResourceLimitError(
-        f"a {n.bit_length()}-bit integer with no prime factor <= {DEFAULT_FACTOR_BOUND}"
-        f" is not proven prime: primality is proven only below MR_LIMIT = {MR_LIMIT}"
+        f"a {n.bit_length()}-bit integer with no prime factor <= {WITNESS_BOUND}"
+        f" is not proven prime: primality is proven only below MR_LIMIT = {MR_LIMIT};"
+        " no flag moves either bound"
     )
-
-
-#: The sieve refuses limits above this; it allocates limit + 1 bytes.
-MAX_PRIME_SCAN = 10**6
 
 
 @lru_cache(maxsize=4)
@@ -262,10 +322,7 @@ def primes_upto(limit: int) -> tuple[int, ...]:
 
     Raises ResourceLimitError for a limit above MAX_PRIME_SCAN.
     """
-    if limit > MAX_PRIME_SCAN:
-        raise ResourceLimitError(
-            f"prime scan limit {shown(limit)} is above the cap {MAX_PRIME_SCAN}"
-        )
+    PRIME_SCAN.check(limit)
     if limit < 2:
         return ()
     sieve = bytearray([1]) * (limit + 1)

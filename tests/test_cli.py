@@ -23,7 +23,7 @@ from adelicdyn import cli as cli_module
 from adelicdyn import errors
 from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
-from adelicdyn.exact import MAX_PRIME_SCAN, int_digit_limit, shown
+from adelicdyn.exact import LIMITS, MAX_PRIME_SCAN, int_digit_limit, shown
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, _run, run_cli
 
 #: Longer than the interpreter's default int/str conversion limit (4300).
@@ -717,6 +717,13 @@ def test_help_works_and_states_the_ranges(command):
     if command == "":
         assert str(MAX_PRIME_SCAN) in text
         assert str(DEFAULT_BIT_GUARD) in text
+    # each capped flag's entry states its cap, read from its row
+    entries = re.split(r"\n  (?=-)", text)
+    for spec, *_ in COMMANDS[command][1:]:
+        flag = spec.split("/")[-1]
+        if flag in LIMITS:
+            (entry,) = [e for e in entries if re.match(rf"(-\w, )?{flag} ", e)]
+            assert f"at most {LIMITS[flag].cap}]" in " ".join(entry.split()), entry
     if command == "modular":
         assert "1..5" in text
 
@@ -747,6 +754,55 @@ def test_bit_guard_above_the_cap_is_a_resource_error():
     assert f"cap {DEFAULT_BIT_GUARD}".encode() in result[2]
     at_cap = ["--bit-guard", str(DEFAULT_BIT_GUARD), *ITERATE_SPHERE, "--steps", "2"]
     assert run_cli(at_cap)[0] == 0
+
+
+#: For each capped flag, an argv past its cap; each names a value that passes.
+PAST_THE_CAP = {
+    # (10^12 + 39)(10^12 + 61): trial division to 10^12 would take hours
+    "factor-bound": [
+        "--factor-bound", "1000000000000", "product-formula", "-r", "1000000000100000000002379",
+    ],
+    # a small orbit that never ends early: 10^9 steps once ran out of memory
+    "max-steps": [
+        "--max-steps", "1000000000", "iterate", "--map", "2,-1,1,0", "--x0", "3", "--place", "3",
+    ],
+    "steps": [
+        "iterate", "--map", "2,-1,1,0", "--x0", "3", "--place", "3", "--steps", "1000000000",
+    ],
+    "height": [
+        "--bit-guard", "100", "--max-steps", "100000",
+        "basin", "--map", "1/2,0,1,2", "--xi", "0", "--place", "real", "--height", "3",
+    ],
+    "bit-guard": ["--bit-guard", str(DEFAULT_BIT_GUARD + 1), *ITERATE_SPHERE, "--steps", "2"],
+    "audit-primes": ["--audit-primes", "1000001", "classify", "--map", "1/2,0,1,2"],
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_THE_CAP))
+def test_a_value_past_its_cap_names_the_flag_and_a_value_that_passes(name):
+    args = PAST_THE_CAP[name]
+    result, seconds = _timed_cli(args)
+    assert_one_error_line(result, code=4)
+    assert len(result[2].rstrip(b"\n")) <= 200 and seconds < 2, (result[2], seconds)
+    flag = f"--{name}"
+    line = result[2].decode()
+    found = re.fullmatch(rf"error: {flag} \d+ is above the cap \d+.*; {flag} (\d+) passes\n", line)
+    assert found, line
+    passing = list(args)
+    passing[passing.index(flag) + 1] = found[1]
+    assert b"above the cap" not in run_cli(passing)[2]
+
+
+def test_a_limit_set_by_its_variable_is_checked_as_its_flag():
+    args = PAST_THE_CAP["factor-bound"]
+    result = run_cli(args[2:], env_extra={"ADELICDYN_FACTOR_BOUND": args[1]})
+    assert result == run_cli(args)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help="], ids=["short", "long"])
+def test_a_help_flag_with_attached_text_is_an_unknown_flag(flag):
+    result = run_cli([flag + "x" * 300])
+    assert result == (2, b"", f"error: unrecognized flag {shown(flag + 'x' * 300)}\n".encode())
 
 
 POLE_ORBIT = [
@@ -796,9 +852,10 @@ START_PAST_THE_GUARD = {
         "--x0", "1/" + "7" * 4290, "--place", "real", "--steps", "1",
     ],
     # xi's denominator has 14281 bits; the first start, x0 = -16, is already
-    # at a distance with a 14285-bit numerator
+    # at a distance with a 14285-bit numerator; at height 16 the default
+    # steps would pass the cap on the sweep's work
     "basin": [
-        "basin", "--map", _map_fixing(XI_9010), "--xi", str(XI_9010),
+        "--max-steps", "2000", "basin", "--map", _map_fixing(XI_9010), "--xi", str(XI_9010),
         "--place", "real", "--height", "16",
     ],
     "bit-guard-0": ["--bit-guard", "0", *GUARDED_ORBIT[2:]],

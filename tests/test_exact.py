@@ -20,10 +20,13 @@ from adelicdyn.errors import (
     ZeroInput,
 )
 from adelicdyn.exact import (
+    FACTOR_BOUND,
     MAX_PRIME_SCAN,
     MR_LIMIT,
     QUOTE_CHARS,
+    WITNESS_BOUND,
     Factorization,
+    Limit,
     factorize,
     is_perfect_square,
     is_prime,
@@ -243,13 +246,54 @@ def test_factorization_error_shows_long_integers_by_bit_length():
     # 32 digits print in full, 33 by their bit length
     assert message(10**32 - 5).startswith("cofactor 99999999999999999999999999999995 of ")
     assert message(10**32).startswith(f"cofactor {5**32} of <107-bit integer> ")
-    # past the interpreter's digit limit, where str() would fail
+    # past the interpreter's digit limit, where str() would fail; its
+    # square root is far above the cap on the factor bound
     n = 7 * (10**5000 - 1) // 9
-    bits, root_bits = n.bit_length(), math.isqrt(n).bit_length()
+    bits = n.bit_length()
     assert message(n) == (
         f"cofactor <{bits}-bit integer> of <{bits}-bit integer> may be composite "
-        f"(bound 2); a factor bound of <{root_bits}-bit integer> decides it"
+        f"(bound 2); no factor bound up to the cap {FACTOR_BOUND.cap} is sure to decide it"
     )
+
+
+def test_the_hint_names_a_factor_bound_only_within_the_cap():
+    def hint(n):
+        with pytest.raises(FactorizationIncomplete) as info:
+            factorize(n, 2)
+        return str(info.value).rpartition("; ")[2]
+
+    cap = FACTOR_BOUND.cap
+    below, above = sympy.prevprime(cap), sympy.nextprime(cap)
+    assert hint(below**2) == f"a factor bound of {below} decides it"
+    assert hint(above**2) == f"no factor bound up to the cap {cap} is sure to decide it"
+
+
+def test_a_factor_bound_above_the_cap_is_refused_before_any_division():
+    assert factorize(6, FACTOR_BOUND.cap).factors == ((2, 1), (3, 1))
+    cap = FACTOR_BOUND.cap
+    message = f"--factor-bound {cap + 1} is above the cap {cap}; --factor-bound {cap} passes"
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+        factorize(6, cap + 1)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [int, lambda v: v * 7, lambda v: v * (2 * v + 1) * 3, lambda v: v * v * v],
+    ids=["value", "linear", "quadratic", "cubic"],
+)
+def test_a_limit_names_the_largest_value_that_passes(cost):
+    limit = Limit("--flag", None, 1000, "" if cost is int else "the cost")
+    on = "" if cost is int else " on the cost"
+    for value in (0, 1, 9, 10, 11, 142, 143, 999, 1000, 1001, 10**40):
+        if cost(value) <= 1000:
+            assert limit.check(value, cost) == value
+            continue
+        with pytest.raises(ResourceLimitError) as info:
+            limit.check(value, cost)
+        line = str(info.value)
+        assert line.startswith(f"--flag {shown(value)} is above the cap 1000{on}; ")
+        passing = int(re.fullmatch(r".*; --flag (\d+) passes", line)[1])
+        assert cost(passing) <= 1000 < cost(passing + 1)
 
 
 def test_factorize_minimal_bound_stays_correct():
@@ -336,7 +380,9 @@ def test_is_prime_above_the_proven_range():
     for n in (MR_LIMIT, 2**127 - 1):
         with pytest.raises(ResourceLimitError, match=rf"{n.bit_length()}-bit .*MR_LIMIT"):
             is_prime(n)
-    # a factor up to the default bound still proves a large n composite
+    with pytest.raises(ResourceLimitError, match=f"<= {WITNESS_BOUND} .*no flag moves"):
+        is_prime(2**127 - 1)
+    # a factor up to the witness bound still proves a large n composite
     assert not is_prime(43 * (2**127 - 1))
     assert not is_prime(sympy.prevprime(10**6) * sympy.nextprime(MR_LIMIT))
 
