@@ -14,7 +14,6 @@ guard aborts runaway orbits instead of falling back to floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,6 +32,7 @@ from .exact import (
     DEFAULT_FACTOR_BOUND,
     DEFAULT_MAX_STEPS,
     RationalLike,
+    Value,
     coprime_fraction,
     factorize,
     shown,
@@ -362,8 +362,7 @@ def admissible_bound(
     return (max(primes) if primes else 1, tuple(sorted(primes)))
 
 
-@dataclass(frozen=True)
-class AdelePoint:
+class AdelePoint(Value):
     """Adele with rational components.
 
     Explicit values at the real place and at finitely many listed primes;
@@ -372,29 +371,28 @@ class AdelePoint:
     which is what keeps the non-integral support finite).
     """
 
+    __slots__ = ("real", "finite", "elsewhere")
     real: Fraction
     finite: dict[int, Fraction]
     elsewhere: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(
-            self,
-            "finite",
-            {p: Fraction(x) for p, x in self.finite.items()},
-        )
-        object.__setattr__(self, "elsewhere", Fraction(self.elsewhere))
+    def __init__(
+        self, real: RationalLike, finite: dict[int, RationalLike], elsewhere: RationalLike
+    ):
+        real, elsewhere = Fraction(real), Fraction(elsewhere)
+        finite = {p: Fraction(x) for p, x in finite.items()}
         # strip the listed primes from the tail denominator; whatever is
         # left is made of unlisted primes where the tail is not integral
-        rest = self.elsewhere.denominator
-        for p in self.finite:
+        rest = elsewhere.denominator
+        for p in finite:
             Place(p)  # validates primality
             rest, _ = strip_prime(rest, p)
         if rest != 1:
             raise NonIntegralTail(
-                f"{shown(self.elsewhere)} is not p-integral at the unlisted primes"
+                f"{shown(elsewhere)} is not p-integral at the unlisted primes"
                 f" p dividing {shown(rest)}"
             )
+        self._set(real, finite, elsewhere)
 
     def listed_primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.finite))

@@ -12,7 +12,10 @@ trial-division loop, and primality below MR_LIMIT is the strong test to
 the 13 prime bases 2 ... 41, proven correct there.  `shown` is the one
 rule for showing a value in an error message, and the `Limit` rows below
 hold every resource limit: each flag's default and cap, and the one check
-that refuses a value past the cap.
+that refuses a value past the cap.  `Value` is the immutable base of the
+validated value types `MoebiusMap`, `Place` and `AdelePoint`; they are no
+frozen dataclasses because `dataclasses` imports `inspect`, `ast` and
+`dis`, which would lengthen every start of the CLI.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -42,6 +46,51 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 #: Error messages show at most this many characters or digits of a value.
 QUOTE_CHARS = 32
+
+
+class Value:
+    """An immutable value whose fields are its class's `__slots__`.
+
+    The constructor checks its input and sets each field once with
+    `_set`; after that, setting or deleting an attribute raises
+    AttributeError.  Two values are equal, and hash alike, when they are
+    of the same class and their fields are equal; a value never equals a
+    tuple.  A copy or a pickle is rebuilt through the constructor, which
+    takes the fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the slots' own getter and setters: a generic getattr loop would
+        # make `==` several times slower than a dataclass's
+        cls._get = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *fields) -> None:
+        for set_field, x in zip(self._setters, fields):
+            set_field(self, x)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._get(self) == self._get(other)
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def normalize(num: int, den: int) -> Fraction:
@@ -144,17 +193,20 @@ def parse_integer(text: str, what: str = "an integer", signed: bool = True) -> i
 
     Stricter than int(), which also takes whitespace, '+', '_' and
     non-ASCII decimal digits, and than str.isdigit(), which also takes
-    superscript digits.  The error says that `text` is not `what`; for text
-    longer than sys.get_int_max_str_digits() (no limit when that is 0 or
-    missing) it names the limit instead of repeating the text.
+    superscript digits.  The checks run in this order: the syntax, then
+    the digit limit sys.get_int_max_str_digits() (no limit when that is 0
+    or missing), then the sign.  The error says that `text` is not `what`,
+    but for a number of more digits than the limit it names the limit
+    instead of repeating the text.
     """
-    digits = len(text) - text.startswith("-")
-    limit = int_digit_limit()
-    if 0 < limit < digits:
-        raise ParseError(f"{what} may have at most {limit} digits, got {digits}")
-    if _INTEGER_RE.fullmatch(text) is None or (not signed and text[0] == "-"):
-        raise ParseError(f"{shown(text)} is not {what}")
-    return int(text)
+    if _INTEGER_RE.fullmatch(text) is not None:
+        digits = len(text) - text.startswith("-")
+        limit = int_digit_limit()
+        if 0 < limit < digits:
+            raise ParseError(f"{what} may have at most {limit} digits, got {digits}")
+        if signed or text[0] != "-":
+            return int(text)
+    raise ParseError(f"{shown(text)} is not {what}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,7 +11,6 @@ kept exactly as constructed (no silent normalization);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,23 +24,23 @@ from .errors import (
     PoleInput,
     SingularMap,
 )
-from .exact import RationalLike, is_perfect_square, parse_rationals, shown
+from .exact import RationalLike, Value, is_perfect_square, parse_rationals, shown
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(Value):
     """Coefficients (a, b, c, d) with ad - bc != 0."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.a * self.d - self.b * self.c == 0:
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike):
+        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        if a * d - b * c == 0:
             raise SingularMap("ad - bc = 0")
+        self._set(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -55,8 +54,7 @@ class MoebiusMap:
         they skip the ad - bc check, whose gcds dominate on large entries.
         """
         m = object.__new__(cls)
-        for name, x in zip(("a", "b", "c", "d"), entries):
-            object.__setattr__(m, name, x)
+        m._set(*entries)
         return m
 
     @classmethod

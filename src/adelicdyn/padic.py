@@ -12,26 +12,26 @@ first: x = p^nu (x_0 + x_1 p + x_2 p^2 + ...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotPrime, ZeroInput
-from .exact import RationalLike, factorize, is_prime, parse_integer, shown, strip_prime
+from .exact import RationalLike, Value, factorize, is_prime, parse_integer, shown, strip_prime
 
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """The real place (p is None) or the finite place of a prime p."""
 
-    p: int | None = None
+    __slots__ = ("p",)
+    p: int | None
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise NotPrime(f"{shown(self.p)} is not a prime, so not a finite place")
+    def __init__(self, p: int | None = None):
+        if p is not None and not is_prime(p):
+            raise NotPrime(f"{shown(p)} is not a prime, so not a finite place")
+        self._set(p)
 
     @property
     def is_real(self) -> bool:

@@ -24,7 +24,7 @@ from adelicdyn import errors
 from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
 from adelicdyn.exact import LIMITS, MAX_PRIME_SCAN, int_digit_limit, shown
-from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, _run, run_cli
+from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, ROOT, _run, run_cli
 
 #: Longer than the interpreter's default int/str conversion limit (4300).
 HUGE = "7" * 5000
@@ -703,6 +703,25 @@ def test_over_long_numbers_are_not_echoed():
         result = run_cli(args)
         assert_one_error_line(result)
         assert HUGE.encode() not in result[2] and limit in result[2]
+
+
+def test_over_long_text_is_named_as_no_number():
+    text = "x" * 5000
+    basin = ["basin", "--map", "1/2,0,1,2", "--xi", "0", "--height", "1"]
+    for result in (
+        run_cli([*basin, "--place", text]),
+        run_cli(basin, env_extra={"ADELICDYN_BASIN_PLACE": text}),
+    ):
+        assert_one_error_line(result)
+        assert f"{shown(text)} is not 'real' or a prime".encode() in result[2]
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # `dataclasses` loads inspect, ast, dis and tokenize, about a tenth of
+    # a one-shot CLI call; -S keeps the environment's site hooks out
+    code = "import sys, adelicdyn.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    result = _run([sys.executable, "-S", "-c", code], {"PYTHONPATH": str(ROOT / "src")})
+    assert result == (0, b"set()\n", b"")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS), ids=lambda c: c or "group")

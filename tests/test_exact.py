@@ -105,6 +105,10 @@ def test_parse_integer_follows_the_interpreter_digit_limit(monkeypatch):
     assert parse_integer("-" + "9" * 10) == -(10**10 - 1)
     with pytest.raises(ParseError, match="at most 10 digits, got 11"):
         parse_integer("9" * 11)
+    # the syntax is checked before the limit: text that is no number is
+    # never reported as too many digits
+    with pytest.raises(ParseError, match="'x{11}' is not an integer"):
+        parse_integer("x" * 11)
     with pytest.raises(ParseError, match="at most 10 digits"):
         parse_rational("1/" + "9" * 11)
     # 0 means no limit, and interpreters before 3.10.7 have no limit at all

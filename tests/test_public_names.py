@@ -3,9 +3,14 @@
 import dataclasses
 import importlib
 import importlib.util
+import pickle
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import adelicdyn
+from adelicdyn import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,17 +39,17 @@ def test_traced_and_exported_names_exist():
         assert hasattr(adelicdyn, name), name
 
 
-def test_records_are_named_tuples_and_only_value_types_are_dataclasses():
+def test_records_are_named_tuples_and_value_types_are_validated_values():
     # records that only carry data are NamedTuples, like Step; the value
-    # types that validate their fields keep a constructor check
+    # types check their fields in the constructor, are immutable and are
+    # no tuples, so no tuple method can build one unchecked
     classes = [
         obj
         for name in dir(adelicdyn)
         for obj in [getattr(adelicdyn, name)]
         if isinstance(obj, type) and obj.__module__.startswith("adelicdyn.")
     ]
-    validated = {adelicdyn.MoebiusMap, adelicdyn.Place, adelicdyn.AdelePoint}
-    assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == validated
+    assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
     records = {
         "Factorization", "PAdicExpansion", "FixedPoints", "PlaceClassification",
         "ExceptionalSets", "AdelicFixedPointReport", "IndifferenceAudit", "Step",
@@ -54,3 +59,25 @@ def test_records_are_named_tuples_and_only_value_types_are_dataclasses():
     for name in records:
         cls = getattr(adelicdyn, name)
         assert issubclass(cls, tuple) and cls._fields, name
+    m = adelicdyn.MoebiusMap(1, 2, 3, 4)
+    values = [m, adelicdyn.Place(3), adelicdyn.principal_adele(Fraction(1, 6))]
+    for value in values:
+        assert not isinstance(value, tuple), value
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert pickle.loads(pickle.dumps(value)) == value
+    for build, error in [
+        (lambda: adelicdyn.MoebiusMap(1, 2, 2, 4), errors.SingularMap),
+        (lambda: adelicdyn.Place(4), errors.NotPrime),
+        (lambda: adelicdyn.AdelePoint(0, {2: 0}, Fraction(1, 3)), errors.NonIntegralTail),
+        (lambda: adelicdyn.AdelePoint(0, {4: 0}, 0), errors.NotPrime),
+    ]:
+        with pytest.raises(error):
+            build()
+    assert adelicdyn.Place(3) == adelicdyn.Place(3)
+    assert hash(adelicdyn.Place(3)) == hash(adelicdyn.Place(3))
+    assert adelicdyn.Place(3) != (3,)
+    assert m.compose(m) == adelicdyn.MoebiusMap(*m.compose(m).coefficients())
