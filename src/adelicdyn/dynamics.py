@@ -9,6 +9,7 @@ gcd against the matrix's det, since the adjugate maps the new pair to det
 times the old, coprime one, so the new pair's gcd divides det.  Every
 recorded x and dist is still an exact, canonical Fraction.  A bit-size
 guard aborts runaway orbits instead of falling back to floating point.
+A basin sweep checks xi once and runs every start through one orbit kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .classification import Stability, classify_at_place
 from .errors import (
@@ -98,6 +99,17 @@ def iterate_at_place(
     numerator or denominator longer than `bit_guard` bits; dist can outgrow
     x by the bits of xi.  A start (step 0) that already passes the guard
     raises ResourceLimitError.  At the default every recorded value prints.
+    x0 is read, xi checked, and the orbit run once by `_orbit_kernel`.
+    """
+    x0, xi = Fraction(x0), m.check_fixed_point(xi)
+    return _orbit_kernel(m, xi, v, max_steps, bit_guard)(x0)
+
+
+def _orbit_kernel(
+    m: MoebiusMap, xi: Fraction, v: Place, max_steps: int, bit_guard: int
+) -> Callable[[Fraction], TrajectoryRecord]:
+    """run(x0), the orbit of x0 as `iterate_at_place` records it, for a
+    checked xi: all that does not depend on x0 is prepared once, here.
 
     The map's denominators are cleared once into an integer matrix
     (a, b, c, d), which acts on the point as the pair num/den: a step is
@@ -108,23 +120,27 @@ def iterate_at_place(
     p-adic place "the distance decreased" is decided on its valuation.
     Every recorded x and dist is still an exact, canonical Fraction.
     """
-    x0, xi = Fraction(x0), m.check_fixed_point(xi)
     scale = math.lcm(*(k.denominator for k in m.coefficients()))
     a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
-    det = a * d - b * c
     xi_num, xi_den = xi.numerator, xi.denominator
     # distance(num, den) is (dist, rank): rank orders the distances as dist
     # does, so a step's distance decreased iff its rank is below the last
     if v.is_real:
 
         def distance(num: int, den: int) -> tuple[Fraction, Fraction]:
-            dist = Fraction(abs(num * xi_den - xi_num * den), den * xi_den)
+            # both points are in lowest terms, so with gcd(den, xi_den) = 1 a
+            # prime of den divides xi_num den but not num xi_den, so not t,
+            # and likewise for xi_den: t/(den xi_den) needs no gcd, and t = 0
+            # makes den = xi_den = 1, so 0/1
+            t = abs(num * xi_den - xi_num * den)
+            canonical = coprime_fraction if math.gcd(den, xi_den) == 1 else Fraction
+            dist = canonical(t, den * xi_den)
             return dist, dist
 
     else:
         p = v.p
         xi_den_nu = strip_prime(xi_den, p)[1]
-        norms: dict[int, Fraction] = {}  # p^-nu by nu, for this call only
+        norms: dict[int, Fraction] = {}  # p^-nu by nu, shared by every orbit
 
         def distance(num: int, den: int) -> tuple[Fraction, int | None]:
             # rank -nu, the integer exponent of dist = p^-nu; x = xi only
@@ -146,51 +162,57 @@ def iterate_at_place(
                 norm = norms[nu] = Fraction(p) ** -nu
             return norm, -nu
 
-    window, threshold = WINDOW, CONVERGENCE_THRESHOLD
     # dist has at most xi's bits + 1 more bits than x (its parts divide
     # num xi_den - xi_num den or den xi_den), so only an x longer than
     # `near` can trip the guard
     near = bit_guard - max(xi_num.bit_length(), xi_den.bit_length()) - 1
-    num, den = x0.numerator, x0.denominator
-    dist, rank = distance(num, den)
-    size = _bit_size(num, den, dist)
-    if size > bit_guard:
-        raise ResourceLimitError(
-            f"the orbit starts with a {size}-bit numerator or denominator,"
-            f" above the bit guard of {bit_guard} bits"
-        )
-    steps = [Step(0, x0, dist)]
-    terminated = Termination.MAX_STEPS
-    decreasing_run = 0
-    if x0 == xi:
-        terminated = Termination.CONVERGED
-    else:
-        for n in range(1, max_steps + 1):
-            new_den = c * num + d * den
-            if new_den == 0:  # x is the pole -d/c
-                terminated = Termination.POLE_HIT
-                break
-            num, den = a * num + b * den, new_den
-            g = math.gcd(num, det)
-            if g != 1:
-                g = math.gcd(g, den)
-                num, den = num // g, den // g
-            if den < 0:
-                num, den = -num, -den
-            x = coprime_fraction(num, den)
-            last_rank = rank
-            dist, rank = distance(num, den)
-            if (num.bit_length() > near or den.bit_length() > near) and (
-                _bit_size(num, den, dist) > bit_guard
-            ):
-                terminated = Termination.OVERFLOW_GUARD
-                break
-            decreasing_run = decreasing_run + 1 if rank < last_rank else 0
-            steps.append(Step(n, x, dist))
-            if decreasing_run >= window and dist < threshold:
-                terminated = Termination.CONVERGED
-                break
-    return TrajectoryRecord(v, xi, tuple(steps), terminated)
+    prepared = (a, b, c, d, a * d - b * c, distance, near, bit_guard, WINDOW, CONVERGENCE_THRESHOLD)
+
+    def run(x0: Fraction) -> TrajectoryRecord:
+        # the loop's names are fast locals, not cells of this closure
+        a, b, c, d, det, distance, near, bit_guard, window, threshold = prepared
+        num, den = x0.numerator, x0.denominator
+        dist, rank = distance(num, den)
+        size = _bit_size(num, den, dist)
+        if size > bit_guard:
+            raise ResourceLimitError(
+                f"the orbit starts with a {size}-bit numerator or denominator,"
+                f" above the bit guard of {bit_guard} bits"
+            )
+        steps = [Step(0, x0, dist)]
+        terminated = Termination.MAX_STEPS
+        decreasing_run = 0
+        if x0 == xi:
+            terminated = Termination.CONVERGED
+        else:
+            for n in range(1, max_steps + 1):
+                new_den = c * num + d * den
+                if new_den == 0:  # x is the pole -d/c
+                    terminated = Termination.POLE_HIT
+                    break
+                num, den = a * num + b * den, new_den
+                g = math.gcd(num, det)
+                if g != 1:
+                    g = math.gcd(g, den)
+                    num, den = num // g, den // g
+                if den < 0:
+                    num, den = -num, -den
+                x = coprime_fraction(num, den)
+                last_rank = rank
+                dist, rank = distance(num, den)
+                if (num.bit_length() > near or den.bit_length() > near) and (
+                    _bit_size(num, den, dist) > bit_guard
+                ):
+                    terminated = Termination.OVERFLOW_GUARD
+                    break
+                decreasing_run = decreasing_run + 1 if rank < last_rank else 0
+                steps.append(Step(n, x, dist))
+                if decreasing_run >= window and dist < threshold:
+                    terminated = Termination.CONVERGED
+                    break
+        return TrajectoryRecord(v, xi, tuple(steps), terminated)
+
+    return run
 
 
 class VerdictKind(str, Enum):
@@ -241,14 +263,20 @@ def detect_behavior(t: TrajectoryRecord, m: MoebiusMap) -> BehaviorVerdict:
     strictly inside the locality radius, where repulsion is actually
     guaranteed; strict growth from further out stays undetermined.
     """
+    return _verdict(t, _locality_radius(m, t.xi, t.place))
+
+
+def _verdict(t: TrajectoryRecord, rho: Fraction | None) -> BehaviorVerdict:
+    """`detect_behavior` given the locality radius, which a sweep computes once."""
     dists = t.distances()
-    rho = _locality_radius(m, t.xi, t.place)
     inside = None if rho is None else dists[0] < rho
     used = min(WINDOW, len(dists) - 1)
     tail = dists[-(used + 1) :]
     pairs = list(zip(tail, tail[1:]))
-    constant_run = 1
-    while constant_run < len(dists) and dists[-constant_run - 1] == dists[-1]:
+    # `in` tests `is` before `==`: p-adic distances are shared objects of
+    # the orbit kernel's p^-nu table
+    last, constant_run = dists[-1], 1
+    while constant_run < len(dists) and dists[-constant_run - 1] in (last,):
         constant_run += 1
     evidence = BehaviorEvidence(
         window=used,
@@ -321,12 +349,15 @@ def basin_sample(
     """Verdict for every canonical fraction num/den with |num|, den <= height.
 
     Enumeration is by denominator then numerator, each rational exactly
-    once, the pole skipped.  Each orbit comes from `iterate_at_place` and
-    its verdict from `detect_behavior`, so a trajectory shorter than WINDOW
-    steps (early pole hit or overflow) is undetermined rather than raising;
-    only a start past the bit guard raises.
+    once, the pole skipped.  xi is checked once, even with no start; each
+    point is what `iterate_at_place` and `detect_behavior` give, from one
+    orbit kernel and one locality radius.  So a trajectory shorter than
+    WINDOW steps (early pole hit or overflow) is undetermined rather than
+    raising; only a start past the bit guard raises.
     """
-    xi = Fraction(xi)
+    xi = m.check_fixed_point(xi)
+    orbit = _orbit_kernel(m, xi, v, max_steps, bit_guard)
+    rho = _locality_radius(m, xi, v)
     pole = m.pole
     out = []
     for den in range(1, height + 1):
@@ -336,9 +367,8 @@ def basin_sample(
             x0 = Fraction(num, den)
             if pole is not None and x0 == pole:
                 continue
-            record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
-            verdict = detect_behavior(record, m)
-            out.append(BasinPoint(x0, verdict, len(record.steps) - 1))
+            record = orbit(x0)
+            out.append(BasinPoint(x0, _verdict(record, rho), len(record.steps) - 1))
     return out
 
 

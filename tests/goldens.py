@@ -60,6 +60,14 @@ GOLDEN_COMMANDS = [
             "--height", "2",
         ],
     ),
+    (
+        "basin_real_repelling",
+        [
+            "--format", "json", "--max-steps", "200",
+            "basin", "--map", "1/2,0,1,2", "--xi", "-3/2", "--place", "real",
+            "--height", "3",
+        ],
+    ),
 ]
 
 

@@ -597,6 +597,15 @@ def test_csv_output():
     assert out.decode().splitlines()[0] == "x0,verdict,steps_used"
 
 
+@pytest.mark.parametrize("height", ["0", "2"])
+def test_basin_names_a_point_the_map_does_not_fix_at_every_height(height):
+    # the map fixes only -3/2 and 0; height 0 has no start to run
+    args = ["basin", "--map", "1/2,0,1,2", "--xi", "5", "--place", "3", "--height", height]
+    result = run_cli(args)
+    assert_one_error_line(result)
+    assert result[2] == b"error: 5 is not fixed by the map\n"
+
+
 def test_table_output_aligns_columns():
     code, out, _ = run_cli(["product-formula", "-r", "-10/21"])
     assert code == 0

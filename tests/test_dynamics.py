@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adelicdyn import dynamics
 from adelicdyn.dynamics import (
     DEFAULT_BIT_GUARD,
+    WINDOW,
     AdelePoint,
+    BasinPoint,
     BehaviorEvidence,
     BehaviorVerdict,
     Step,
@@ -39,6 +41,7 @@ from adelicdyn.errors import (
     ResourceLimitError,
     ZeroInput,
 )
+from adelicdyn.classification import case_a_map, case_b_map
 from adelicdyn.exact import coprime_fraction, int_digit_limit
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL, padic_norm, place_norm
@@ -605,6 +608,127 @@ def test_basin_padic_sample():
 
 def test_basin_height_zero_is_empty():
     assert basin_sample(CASE_A_MAP, 0, REAL, height=0) == []
+
+
+def test_a_sweep_checks_xi_even_without_starts():
+    # the map fixes only -3/2 and 0
+    with pytest.raises(NotAFixedPoint, match="5 is not fixed by the map"):
+        basin_sample(CASE_A_MAP, 5, REAL, height=0)
+
+
+def one_shot_sweep(m, xi, v, height, max_steps, bit_guard):
+    """basin_sample's points written out as one `iterate_at_place` and one
+    `detect_behavior` per start, with the terminations seen."""
+    points, stops = [], set()
+    for den in range(1, height + 1):
+        for num in range(-height, height + 1):
+            x0 = Fraction(num, den)
+            if math.gcd(num, den) != 1 or x0 == m.pole:
+                continue
+            record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+            stops.add(record.terminated_by)
+            verdict = detect_behavior(record, m)
+            points.append(BasinPoint(x0, verdict, len(record.steps) - 1).to_dict())
+    return points, stops
+
+
+def check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard):
+    """Compare the sweep with `one_shot_sweep`; a start past the bit guard
+    must raise the same error from both.  Returns the terminations seen, or
+    the raised error's message."""
+    try:
+        expected, stops = one_shot_sweep(m, xi, v, height, max_steps, bit_guard)
+    except ResourceLimitError as exc:
+        with pytest.raises(ResourceLimitError) as raised:
+            basin_sample(m, xi, v, height, max_steps, bit_guard)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    swept = basin_sample(m, xi, v, height, max_steps, bit_guard)
+    assert [point.to_dict() for point in swept] == expected
+    return stops
+
+
+NONZERO_RATIONALS = SMALL_RATIONALS.filter(lambda r: r != 0)
+# det-1 maps of cases A and B, each with one of its fixed points
+CASE_AB_STARTS = st.one_of(
+    st.builds(case_a_map, NONZERO_RATIONALS, NONZERO_RATIONALS),
+    st.builds(case_b_map, NONZERO_RATIONALS.filter(lambda t: t not in (1, -1))),
+).flatmap(lambda m: st.tuples(st.just(m), st.sampled_from(fixed_points(m).points)))
+# the orbit of -8/5 hits the pole -2 at step 1
+POLE_HIT_SWEEP = ((CASE_A_MAP, Fraction(0)), REAL, 8, 20, 10**6)
+SHORT_SWEEP = ((CASE_A_MAP, Fraction(0)), Place(2), 3, WINDOW - 1, 10**6)
+# x0 = 3 is at distance 9/2 from -3/2, past a 3-bit guard, after six starts
+# whose orbits trip the guard later
+GUARDED_SWEEP = ((CASE_A_MAP, Fraction(-3, 2)), REAL, 3, 40, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    start=CASE_AB_STARTS,
+    v=st.sampled_from((REAL, Place(2), Place(3), Place(5))),
+    height=st.integers(0, 4),
+    max_steps=st.integers(0, 40),
+    bit_guard=st.sampled_from((3, 6, 12, 24, 10**6)),
+)
+@example(*POLE_HIT_SWEEP)
+@example(*SHORT_SWEEP)
+@example(*GUARDED_SWEEP)
+def test_a_sweep_is_its_one_shot_orbits(start, v, height, max_steps, bit_guard):
+    m, xi = start
+    check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
+
+
+def test_the_sweep_examples_reach_what_they_are_for():
+    (m, xi), v, height, max_steps, bit_guard = POLE_HIT_SWEEP
+    stops = check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
+    assert Termination.POLE_HIT in stops
+    (m, xi), v, height, max_steps, bit_guard = SHORT_SWEEP
+    points = basin_sample(m, xi, v, height, max_steps, bit_guard)
+    assert {point.verdict.evidence.window for point in points} == {0, WINDOW - 1}
+    (m, xi), v, height, max_steps, bit_guard = GUARDED_SWEEP
+    error = check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
+    assert error.startswith("the orbit starts with a 4-bit numerator")
+    _, stops = one_shot_sweep(m, xi, v, 2, max_steps, bit_guard)
+    assert Termination.OVERFLOW_GUARD in stops
+
+
+def test_real_distances_are_canonical_on_both_branches():
+    # xi = 0 has den 1, coprime to every den; the orbits towards 0 from
+    # even dens keep even dens, which share 2 with -3/2's den
+    branches = set()
+    for xi, x0 in ((0, Fraction(1, 3)), (0, 5), (Fraction(-3, 2), Fraction(1, 4))):
+        record = iterate_at_place(CASE_A_MAP, x0, xi, REAL, max_steps=30)
+        assert len(record.steps) > 10
+        for step in record.steps:
+            expected = abs(step.x - xi)
+            assert (step.dist.numerator, step.dist.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            )
+            branches.add(math.gcd(step.x.denominator, Fraction(xi).denominator))
+    assert branches == {1, 2}
+
+
+@pytest.mark.parametrize("xi", [Fraction(0), Fraction(-3, 2)])
+@pytest.mark.parametrize("v", [REAL, Place(2), Place(3)])
+def test_the_distance_at_xi_is_zero_over_one(xi, v):
+    (step,) = iterate_at_place(CASE_A_MAP, xi, xi, v).steps
+    assert type(step.dist) is Fraction
+    assert (step.dist.numerator, step.dist.denominator) == (0, 1)
+
+
+def test_constant_run_compares_equal_distances_that_are_distinct_objects():
+    # a real sphere orbit's distances are built one per step: equal, never
+    # the same object
+    dists = [Fraction(7, 3), *(Fraction(1, 3) for _ in range(20))]
+    assert len({id(dist) for dist in dists}) == len(dists)
+    steps = tuple(Step(n, Fraction(n), dist) for n, dist in enumerate(dists))
+    record = TrajectoryRecord(REAL, Fraction(0), steps, Termination.MAX_STEPS)
+    verdict = detect_behavior(record, CASE_A_MAP)
+    assert verdict.evidence.constant_run == 20
+    assert verdict == reference_verdict(record, CASE_A_MAP)
+    whole = TrajectoryRecord(REAL, Fraction(0), steps[1:], Termination.MAX_STEPS)
+    assert detect_behavior(whole, CASE_A_MAP).kind is VerdictKind.SPHERE_INVARIANT
 
 
 def test_admissible_bound_examples():
