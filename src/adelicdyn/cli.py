@@ -1,19 +1,18 @@
 """Command-line front end.
 
-Every subcommand writes one machine-readable document to stdout (a single
-JSON document, CSV rows, or an aligned table) and keeps diagnostics on
-stderr; csv and table rows are read from the JSON document.  Exit codes
-are a stable contract: 0 success, 2 bad input, 3 mathematics outside the
+Every subcommand writes one document to stdout (JSON, or csv or table
+rows read from it) and keeps diagnostics on stderr.  Exit codes are a
+stable contract: 0 success, 2 bad input, 3 mathematics outside the
 rational scope, 4 a tripped resource guard.  Every failure, the argument
 parser's included, leaves through `main()` as one `error:` line on stderr.
-A left-to-right scan names the first unknown flag (`--` included),
-unknown command or stray argument before any value is read.
-Every flag is one row of the table `COMMANDS`; its value is read by a
-library parser, so its error names the flag and shows the value as
-`exact.shown` does, short however long.  A flag that sets a resource limit
-has a row in `exact.LIMITS`, whose cap its help states.  All flags can also
-be set through ADELICDYN_* environment variables.  The command line is read with the
-standard library's argparse: the package has no runtime dependency.
+One left-to-right scan splits the line at the command and names the first
+unknown flag (`--` included), unknown command or stray argument before any
+value is read.  A flag takes the next argument, or `--flag=value` (`-r6`,
+`-r=6` for the one short flag).  Each flag is a row of `COMMANDS`, read by
+a library parser whose error names the flag; a resource limit's flag has a
+row in `exact.LIMITS` whose cap its help states (the factor bound's floor
+is 2).  Each flag can also be set through an ADELICDYN_* variable.  The
+line is read with argparse, so the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import json
 import os
 import re
 import sys
-from argparse import ArgumentParser, Namespace
+from argparse import ArgumentParser, Namespace, RawDescriptionHelpFormatter
 from fractions import Fraction
 from functools import partial
 
@@ -115,8 +114,8 @@ def _read(names: list[str], kind, text: str):
 
 
 class Parser(ArgumentParser):
-    """The parser of one entry of `COMMANDS`; the global entry "" adds one
-    sub-parser per subcommand.  An error raises InputError (exit 2)."""
+    """The parser of one entry of `COMMANDS`; the global entry "" also reads
+    the command as `COMMAND`.  An error raises InputError (exit 2)."""
 
     def __init__(self, command: str = "", **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
@@ -143,10 +142,7 @@ class Parser(ArgumentParser):
                 action="append" if default == () else "store",
                 required=default is REQUIRED and not env)
         if not command:
-            sub = self.add_subparsers(dest="command", required=True, metavar="COMMAND")
-            for name, (func, *_) in list(COMMANDS.items())[1:]:
-                sub.add_parser(name, command=name, help=func.__doc__, description=func.__doc__)
-            self.commands = sub.choices
+            self.add_argument("command", metavar="COMMAND", help="One of the commands below.")
 
     def values(self, args: Namespace) -> dict:
         """Each flag from the command line, else its ADELICDYN_[COMMAND_]NAME
@@ -159,24 +155,24 @@ class Parser(ArgumentParser):
             values[dest] = default if value is None else value
         return values
 
-    def parse_known_args(self, args=None, namespace=None):
-        # stock argparse names a bad flag or command only after the errors
-        # it causes, and repeats a stray argument in full.  From the command
-        # on, the scan reads the sub-parser's flags: its own scan finds nothing.
-        args = sys.argv[1:] if args is None else list(args)
-        parser, value = self, False  # value: whether arg follows a flag as its value
-        for arg in args:
+    def split(self, args: list[str]) -> tuple[list[str], Parser | None, list[str]]:
+        """args split at the command: the part up to it, the command's Parser
+        (None if a help flag or the end comes first), its part.  It names the
+        first bad flag, command or stray argument before any value is read."""
+        command, end, value = None, len(args), False  # value: arg is a flag's value
+        for i, arg in enumerate(args):
             if value:
                 value = False
             elif len(arg) < 2 or arg[0] != "-" or self._negative_number_matcher.match(arg):
-                if not hasattr(parser, "commands"):
+                if command:
                     self.error(f"unrecognized argument {shown(arg)}")
-                if arg not in parser.commands:
+                if not arg or arg not in COMMANDS:  # "" is the global entry
                     self.error(f"unknown command {shown(arg)}")
-                parser = parser.commands[arg]
+                doc = COMMANDS[arg][0].__doc__
+                command, end = Parser(arg, prog=f"{self.prog} {arg}", description=doc), i + 1
             else:
                 flag = arg.partition("=")[0] if arg[1] == "-" else arg[:2]
-                action = parser._option_string_actions.get(flag)
+                action = (command or self)._option_string_actions.get(flag)
                 if action is None:
                     self.error(f"unrecognized flag {shown(arg)}")
                 if action.nargs == 0:  # a help flag: argparse prints the help
@@ -184,7 +180,7 @@ class Parser(ArgumentParser):
                         self.error(f"unrecognized flag {shown(arg)}")
                     break
                 value = arg == flag
-        return super().parse_known_args(args, namespace)
+        return args[:end], command, args[end:]
 
     def error(self, message):
         raise InputError(message)
@@ -414,7 +410,7 @@ COMMANDS = {
     "": (
         None,
         ("--format", ("json", "csv", "table"), "table", "Output format on stdout."),
-        ("--factor-bound", INTEGER, FACTOR_BOUND.default, "Largest trial divisor."),
+        ("--factor-bound", INTEGER, FACTOR_BOUND.default, "Largest trial divisor, at least 2."),
         ("--max-steps", COUNT, ORBIT_STEPS.default, "Orbit step budget (nonnegative)."),
         ("--bit-guard", COUNT, BIT_GUARD.default, "End an orbit before a point or"
          " distance whose numerator or denominator passes this many bits (nonnegative;"
@@ -478,11 +474,14 @@ def main():
     exits 1; a reader that closes stdout early ends the run quietly, exit 1.
     """
     try:
-        parser = Parser(prog="adelicdyn", description="Exact dynamics at every place.")
-        args = parser.parse_args()
+        width = max(map(len, COMMANDS))
+        rows = "".join(f"\n  {c:{width}}  {run.__doc__}" for c, (run, *_) in COMMANDS.items() if c)
+        parser = Parser(prog="adelicdyn", description="Exact dynamics at every place.",
+                        epilog="commands:" + rows, formatter_class=RawDescriptionHelpFormatter)
+        head, command, rest = parser.split(sys.argv[1:])
+        args, command_args = parser.parse_args(head), command.parse_args(rest)
         cfg = Namespace(**parser.values(args))
-        values = parser.commands[args.command].values(args)
-        COMMANDS[args.command][0](cfg, **values)
+        COMMANDS[args.command][0](cfg, **command.values(command_args))
         sys.stdout.flush()  # here, a closed stdout fails inside the try
     except BrokenPipeError:
         # what is still buffered goes to devnull, or the flush at exit

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .classification import Stability, classify_at_place
@@ -398,12 +399,13 @@ class AdelePoint(Value):
     Explicit values at the real place and at finitely many listed primes;
     at every unlisted prime the component is the shared rational
     `elsewhere`, which must be p-integral there (checked at construction,
-    which is what keeps the non-integral support finite).
+    which is what keeps the non-integral support finite).  `finite` is a
+    read-only view of the listed components.
     """
 
     __slots__ = ("real", "finite", "elsewhere")
     real: Fraction
-    finite: dict[int, Fraction]
+    finite: MappingProxyType[int, Fraction]
     elsewhere: Fraction
 
     def __init__(
@@ -422,7 +424,13 @@ class AdelePoint(Value):
                 f"{shown(elsewhere)} is not p-integral at the unlisted primes"
                 f" p dividing {shown(rest)}"
             )
-        self._set(real, finite, elsewhere)
+        self._set(real, MappingProxyType(finite), elsewhere)
+
+    def __hash__(self) -> int:
+        return hash((self.real, frozenset(self.finite.items()), self.elsewhere))
+
+    def __reduce__(self):
+        return AdelePoint, (self.real, dict(self.finite), self.elsewhere)
 
     def listed_primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.finite))

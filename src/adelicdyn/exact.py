@@ -326,7 +326,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     if n == 0:
         raise ZeroInput("0 has no prime factorization")
     if bound < 2:
-        raise InputError(f"factor bound must be >= 2, got {shown(bound)}")
+        raise InputError(f"{FACTOR_BOUND.flag} must be >= 2, got {shown(bound)}")
     FACTOR_BOUND.check(bound)
     factors = list(_trial_division(abs(n), bound))
     m = abs(n) // math.prod(p**e for p, e in factors)

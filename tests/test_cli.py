@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import collections
 import contextlib
 import inspect
 import io
@@ -517,6 +518,41 @@ def test_one_scan_names_the_first_bad_argument(args, expected):
         assert (code, out, err) == (2, b"", f"error: {expected}\n".encode())
 
 
+def _counted(counts, name, method):
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return method(*args, **kwargs)
+    return counting
+
+
+@pytest.mark.parametrize(
+    "args,parsers",
+    [
+        (["product-formula", "-r", "6"], 2),
+        (["--format", "csv", "classify", "--map", "1/2,0,1,2"], 2),
+        (["classify", "-h"], 2),
+        (["-h", "classify"], 1),
+        (["--format", "json"], 1),
+    ],
+    ids=["command", "global-flag", "command-help", "global-help", "no-command"],
+)
+def test_a_run_builds_one_parser_a_part_and_scans_once(args, parsers):
+    # the global parser reads the line up to the command, the command's
+    # parser the rest; one scan splits the line
+    counts = collections.Counter()
+    with mock.patch.object(Parser, "__init__", _counted(counts, "parsers", Parser.__init__)), \
+            mock.patch.object(Parser, "split", _counted(counts, "scans", Parser.split)):
+        code, out, err = _main_in_process(args)
+    assert code in (0, 2), err
+    assert counts == {"parsers": parsers, "scans": 1}
+
+
+def test_no_sub_parsers_and_no_second_scan():
+    assert "parse_known_args" not in vars(Parser)
+    for path in Path(cli_module.__file__).parent.glob("*.py"):
+        assert "add_subparsers" not in path.read_text(encoding="utf-8"), path
+
+
 def test_the_cli_module_runs_as_a_script():
     args = ["product-formula", "-r", "6"]
     expected = run_cli(args)
@@ -745,6 +781,9 @@ def test_help_works_and_states_the_ranges(command):
     if command == "":
         assert str(MAX_PRIME_SCAN) in text
         assert str(DEFAULT_BIT_GUARD) in text
+        # every command with its docstring line
+        for name, (run, *_) in list(COMMANDS.items())[1:]:
+            assert re.search(rf"\n  {name} +{re.escape(run.__doc__)}\n", text), name
     # each capped flag's entry states its cap, read from its row
     entries = re.split(r"\n  (?=-)", text)
     for spec, *_ in COMMANDS[command][1:]:
@@ -819,6 +858,14 @@ def test_a_value_past_its_cap_names_the_flag_and_a_value_that_passes(name):
     passing = list(args)
     passing[passing.index(flag) + 1] = found[1]
     assert b"above the cap" not in run_cli(passing)[2]
+
+
+def test_a_factor_bound_below_2_names_the_flag_where_it_is_used():
+    classify = ["--factor-bound", "1", "classify", "--map", "1/2,0,1,2"]
+    assert run_cli(classify) == (2, b"", b"error: --factor-bound must be >= 2, got 1\n")
+    iterate = ["--factor-bound", "1", "iterate", "--map", "1/2,0,1,2", "--x0", "1",
+               "--place", "real", "--steps", "2"]
+    assert run_cli(iterate)[0] == 0
 
 
 def test_a_limit_set_by_its_variable_is_checked_as_its_flag():

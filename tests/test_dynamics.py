@@ -470,8 +470,9 @@ def test_verdicts_match_the_rules_with_a_second_convergence_test():
     assert stops == set(Termination)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
+#: Orbits of maps with fixed points xi != other; w = (x - xi)/(x - other)
+#: conjugates each map to w -> w / lam, and (x - other)/(x - xi) to x -> lam x.
+CONJUGATE_ORBITS = given(
     lam=SMALL_RATIONALS.filter(lambda r: r not in (0, 1)),
     xi=SMALL_RATIONALS,
     other=SMALL_RATIONALS,
@@ -480,13 +481,21 @@ def test_verdicts_match_the_rules_with_a_second_convergence_test():
     max_steps=st.integers(0, 200),
     bit_guard=st.sampled_from((30, 10**6)),
 )
+
+
+def _conjugate_orbit(lam, xi, other, x0, v, max_steps, bit_guard):
+    """The map of one CONJUGATE_ORBITS draw, and its orbit of x0."""
+    assume(xi != other)
+    m = MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
+    return m, iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@CONJUGATE_ORBITS
 def test_no_verdict_without_supporting_evidence(
     lam, xi, other, x0, v, max_steps, bit_guard
 ):
-    # the map with fixed points xi != other, conjugate to x -> lam x
-    assume(xi != other)
-    m = MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
-    record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+    m, record = _conjugate_orbit(lam, xi, other, x0, v, max_steps, bit_guard)
     verdict = detect_behavior(record, m)
     evidence = verdict.evidence
     if verdict.kind is VerdictKind.SPHERE_INVARIANT:
@@ -499,6 +508,30 @@ def test_no_verdict_without_supporting_evidence(
         assert evidence.final_dist == 0 or (
             evidence.strictly_decreasing and evidence.final_dist < Fraction(1, 2**40)
         )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@CONJUGATE_ORBITS
+def test_every_orbit_point_is_the_closed_form_of_the_conjugate_map(
+    lam, xi, other, x0, v, max_steps, bit_guard
+):
+    # w_n = mu^n w_0 with mu = f'(xi) gives x_n = (xi - w_n other)/(1 - w_n),
+    # with no matrix power; w_n = 1 puts x_n at infinity, after the pole
+    m, record = _conjugate_orbit(lam, xi, other, x0, v, max_steps, bit_guard)
+    mu = m.derivative_at(xi)
+    assert mu == 1 / lam
+    if x0 == other:  # w_0 is infinite: the orbit stays at the fixed point
+        assert all(step.x == other for step in record.steps)
+        return
+    w0 = (x0 - xi) / (x0 - other)
+    for step in record.steps:
+        w = mu**step.n * w0
+        assert step.x == (xi - w * other) / (1 - w), step.n
+        for place in (REAL, Place(2), Place(3), Place(5), Place(7)):
+            w_norm = place_norm((step.x - xi) / (step.x - other), place)
+            assert w_norm == place_norm(mu, place) ** step.n * place_norm(w0, place)
+    if record.terminated_by is Termination.POLE_HIT:
+        assert mu ** len(record.steps) * w0 == 1
 
 
 def test_short_orbit_verdict_is_the_same_in_a_basin_sweep():

@@ -313,7 +313,7 @@ def test_factorize_minimal_bound_stays_correct():
 def test_factorize_rejects_zero_and_bad_bound():
     with pytest.raises(ZeroInput):
         factorize(0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^--factor-bound must be >= 2, got 1$"):
         factorize(10, bound=1)
 
 

@@ -68,7 +68,13 @@ def test_records_are_named_tuples_and_value_types_are_validated_values():
                 setattr(value, name, 0)
             with pytest.raises(AttributeError):
                 delattr(value, name)
-        assert pickle.loads(pickle.dumps(value)) == value
+        rebuilt = pickle.loads(pickle.dumps(value))
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+        if isinstance(value, adelicdyn.AdelePoint):  # both read-only
+            for point in (value, rebuilt):
+                with pytest.raises(TypeError):
+                    point.finite[4] = Fraction(1)
+                assert point.listed_primes() == (2, 3)
     for build, error in [
         (lambda: adelicdyn.MoebiusMap(1, 2, 2, 4), errors.SingularMap),
         (lambda: adelicdyn.Place(4), errors.NotPrime),
