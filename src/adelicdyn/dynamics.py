@@ -9,7 +9,7 @@ gcd against the matrix's det, since the adjugate maps the new pair to det
 times the old, coprime one, so the new pair's gcd divides det.  Every
 recorded x and dist is still an exact, canonical Fraction.  A bit-size
 guard aborts runaway orbits instead of falling back to floating point.
-A basin sweep checks xi once and runs every start through one orbit kernel.
+A basin sweep checks xi once, and its one orbit kernel records only distances.
 """
 
 from __future__ import annotations
@@ -103,14 +103,15 @@ def iterate_at_place(
     x0 is read, xi checked, and the orbit run once by `_orbit_kernel`.
     """
     x0, xi = Fraction(x0), m.check_fixed_point(xi)
-    return _orbit_kernel(m, xi, v, max_steps, bit_guard)(x0)
+    xs, dists, terminated = _orbit_kernel(m, xi, v, max_steps, bit_guard, True)(x0)
+    return TrajectoryRecord(v, xi, tuple(map(Step, range(len(xs)), xs, dists)), terminated)
 
 
 def _orbit_kernel(
-    m: MoebiusMap, xi: Fraction, v: Place, max_steps: int, bit_guard: int
-) -> Callable[[Fraction], TrajectoryRecord]:
-    """run(x0), the orbit of x0 as `iterate_at_place` records it, for a
-    checked xi: all that does not depend on x0 is prepared once, here.
+    m: MoebiusMap, xi: Fraction, v: Place, max_steps: int, bit_guard: int, keep_xs: bool
+) -> Callable[[Fraction], tuple[list[Fraction] | None, list[Fraction], Termination]]:
+    """run(x0) -> (xs, dists, terminated), the orbit of x0 for a checked xi, with
+    xs None unless `keep_xs`; all that does not depend on x0 is prepared here.
 
     The map's denominators are cleared once into an integer matrix
     (a, b, c, d), which acts on the point as the pair num/den: a step is
@@ -119,7 +120,6 @@ def _orbit_kernel(
     is gcd(gcd(a num + b den, det), c num + d den), a gcd against det.
     The distance comes from the integer num xi_den - xi_num den; at a
     p-adic place "the distance decreased" is decided on its valuation.
-    Every recorded x and dist is still an exact, canonical Fraction.
     """
     scale = math.lcm(*(k.denominator for k in m.coefficients()))
     a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
@@ -169,7 +169,7 @@ def _orbit_kernel(
     near = bit_guard - max(xi_num.bit_length(), xi_den.bit_length()) - 1
     prepared = (a, b, c, d, a * d - b * c, distance, near, bit_guard, WINDOW, CONVERGENCE_THRESHOLD)
 
-    def run(x0: Fraction) -> TrajectoryRecord:
+    def run(x0: Fraction):
         # the loop's names are fast locals, not cells of this closure
         a, b, c, d, det, distance, near, bit_guard, window, threshold = prepared
         num, den = x0.numerator, x0.denominator
@@ -180,38 +180,38 @@ def _orbit_kernel(
                 f"the orbit starts with a {size}-bit numerator or denominator,"
                 f" above the bit guard of {bit_guard} bits"
             )
-        steps = [Step(0, x0, dist)]
+        xs, dists = [x0] if keep_xs else None, [dist]
+        if x0 == xi:
+            return xs, dists, Termination.CONVERGED
         terminated = Termination.MAX_STEPS
         decreasing_run = 0
-        if x0 == xi:
-            terminated = Termination.CONVERGED
-        else:
-            for n in range(1, max_steps + 1):
-                new_den = c * num + d * den
-                if new_den == 0:  # x is the pole -d/c
-                    terminated = Termination.POLE_HIT
-                    break
-                num, den = a * num + b * den, new_den
-                g = math.gcd(num, det)
-                if g != 1:
-                    g = math.gcd(g, den)
-                    num, den = num // g, den // g
-                if den < 0:
-                    num, den = -num, -den
-                x = coprime_fraction(num, den)
-                last_rank = rank
-                dist, rank = distance(num, den)
-                if (num.bit_length() > near or den.bit_length() > near) and (
-                    _bit_size(num, den, dist) > bit_guard
-                ):
-                    terminated = Termination.OVERFLOW_GUARD
-                    break
-                decreasing_run = decreasing_run + 1 if rank < last_rank else 0
-                steps.append(Step(n, x, dist))
-                if decreasing_run >= window and dist < threshold:
-                    terminated = Termination.CONVERGED
-                    break
-        return TrajectoryRecord(v, xi, tuple(steps), terminated)
+        for _ in range(max_steps):
+            new_den = c * num + d * den
+            if new_den == 0:  # x is the pole -d/c
+                terminated = Termination.POLE_HIT
+                break
+            num, den = a * num + b * den, new_den
+            g = math.gcd(num, det)
+            if g != 1:
+                g = math.gcd(g, den)
+                num, den = num // g, den // g
+            if den < 0:
+                num, den = -num, -den
+            last_rank = rank
+            dist, rank = distance(num, den)
+            if (num.bit_length() > near or den.bit_length() > near) and (
+                _bit_size(num, den, dist) > bit_guard
+            ):
+                terminated = Termination.OVERFLOW_GUARD
+                break
+            decreasing_run = decreasing_run + 1 if rank < last_rank else 0
+            if xs is not None:
+                xs.append(coprime_fraction(num, den))
+            dists.append(dist)
+            if decreasing_run >= window and dist < threshold:
+                terminated = Termination.CONVERGED
+                break
+        return xs, dists, terminated
 
     return run
 
@@ -247,9 +247,14 @@ class BehaviorVerdict(NamedTuple):
 
 def _locality_radius(m: MoebiusMap, xi: Fraction, v: Place) -> Fraction | None:
     """|c xi + d|_v / |c|_v, the distance from xi to the pole; None if c = 0."""
+    return None if m.c == 0 else place_norm(m.c * xi + m.d, v) / place_norm(m.c, v)
+
+
+def _needs_c(m: MoebiusMap) -> MoebiusMap:
+    """m, once it passes the one check of a public locality radius: c != 0."""
     if m.c == 0:
-        return None
-    return place_norm(m.c * xi + m.d, v) / place_norm(m.c, v)
+        raise CIsZero("locality radius needs c != 0")
+    return m
 
 
 def detect_behavior(t: TrajectoryRecord, m: MoebiusMap) -> BehaviorVerdict:
@@ -264,12 +269,13 @@ def detect_behavior(t: TrajectoryRecord, m: MoebiusMap) -> BehaviorVerdict:
     strictly inside the locality radius, where repulsion is actually
     guaranteed; strict growth from further out stays undetermined.
     """
-    return _verdict(t, _locality_radius(m, t.xi, t.place))
+    return _verdict(t.distances(), t.terminated_by, _locality_radius(m, t.xi, t.place))
 
 
-def _verdict(t: TrajectoryRecord, rho: Fraction | None) -> BehaviorVerdict:
-    """`detect_behavior` given the locality radius, which a sweep computes once."""
-    dists = t.distances()
+def _verdict(
+    dists: list[Fraction], terminated_by: Termination, rho: Fraction | None
+) -> BehaviorVerdict:
+    """`detect_behavior` from an orbit's distances, stop and locality radius."""
     inside = None if rho is None else dists[0] < rho
     used = min(WINDOW, len(dists) - 1)
     tail = dists[-(used + 1) :]
@@ -287,7 +293,7 @@ def _verdict(t: TrajectoryRecord, rho: Fraction | None) -> BehaviorVerdict:
         final_dist=dists[-1],
         start_inside_radius=inside,
     )
-    if t.terminated_by is Termination.CONVERGED:
+    if terminated_by is Termination.CONVERGED:
         kind = VerdictKind.CONVERGES
     elif used < WINDOW:
         kind = VerdictKind.UNDETERMINED
@@ -308,9 +314,7 @@ def local_multiplier_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction
     |cx + d|_p = |c xi + d|_p, so one step scales the distance by exactly
     |f'(xi)|_p.
     """
-    if m.c == 0:
-        raise CIsZero("locality radius needs c != 0")
-    return _locality_radius(m, m.check_fixed_point(xi), Place(p))
+    return _locality_radius(m, _needs_c(m).check_fixed_point(xi), Place(p))
 
 
 def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
@@ -325,9 +329,7 @@ def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
         raise NotIndifferent(
             f"|f'({shown(xi)})|_{shown(p)} = {shown(cls.multiplier_norm)}, not 1"
         )
-    if m.c == 0:
-        raise CIsZero("locality radius needs c != 0")
-    return _locality_radius(m, xi, cls.place)
+    return _locality_radius(_needs_c(m), xi, cls.place)
 
 
 class BasinPoint(NamedTuple):
@@ -357,19 +359,17 @@ def basin_sample(
     raising; only a start past the bit guard raises.
     """
     xi = m.check_fixed_point(xi)
-    orbit = _orbit_kernel(m, xi, v, max_steps, bit_guard)
+    orbit = _orbit_kernel(m, xi, v, max_steps, bit_guard, False)
     rho = _locality_radius(m, xi, v)
     pole = m.pole
     out = []
     for den in range(1, height + 1):
         for num in range(-height, height + 1):
-            if math.gcd(abs(num), den) != 1:
-                continue
             x0 = Fraction(num, den)
-            if pole is not None and x0 == pole:
+            if x0.denominator != den or x0 == pole:  # not in lowest terms, or the pole
                 continue
-            record = orbit(x0)
-            out.append(BasinPoint(x0, _verdict(record, rho), len(record.steps) - 1))
+            _, dists, terminated = orbit(x0)
+            out.append(BasinPoint(x0, _verdict(dists, terminated, rho), len(dists) - 1))
     return out
 
 

@@ -472,8 +472,9 @@ def test_verdicts_match_the_rules_with_a_second_convergence_test():
 
 #: Orbits of maps with fixed points xi != other; w = (x - xi)/(x - other)
 #: conjugates each map to w -> w / lam, and (x - other)/(x - xi) to x -> lam x.
+MULTIPLIERS = SMALL_RATIONALS.filter(lambda r: r not in (0, 1))
 CONJUGATE_ORBITS = given(
-    lam=SMALL_RATIONALS.filter(lambda r: r not in (0, 1)),
+    lam=MULTIPLIERS,
     xi=SMALL_RATIONALS,
     other=SMALL_RATIONALS,
     x0=SMALL_RATIONALS,
@@ -483,10 +484,16 @@ CONJUGATE_ORBITS = given(
 )
 
 
+def _conjugate_map(lam, xi, other):
+    """The map with fixed points xi != other that w = (x - xi)/(x - other)
+    conjugates to w -> w / lam."""
+    assume(xi != other)
+    return MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
+
+
 def _conjugate_orbit(lam, xi, other, x0, v, max_steps, bit_guard):
     """The map of one CONJUGATE_ORBITS draw, and its orbit of x0."""
-    assume(xi != other)
-    m = MoebiusMap(lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other)
+    m = _conjugate_map(lam, xi, other)
     return m, iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
 
 
@@ -532,6 +539,67 @@ def test_every_orbit_point_is_the_closed_form_of_the_conjugate_map(
             assert w_norm == place_norm(mu, place) ** step.n * place_norm(w0, place)
     if record.terminated_by is Termination.POLE_HIT:
         assert mu ** len(record.steps) * w0 == 1
+
+
+def check_the_normal_form_law(kind, x0, xi, other, mu, v):
+    """Check a verdict for x0 against w -> mu w, the map in the coordinate
+    w = (x - xi)/(x - other), with mu = f'(xi).  There |w_n|_v =
+    |mu|_v^n |w_0|_v and |x_n - xi|_v = |xi - other|_v |w_n|_v / |1 - w_n|_v.
+    So only |mu|_v < 1 brings x to xi, and only |mu|_v > 1 pushes it away.
+    A distance that never changes needs |mu|_v = 1, or a start on `other`,
+    or a finite place with |mu|_v > 1 and a start on the sphere
+    |x - xi|_v = |xi - other|_v: there |w_n|_v > 1 for every n >= 1, so the
+    ultrametric gives |1 - w_n|_v = |w_n|_v, and every distance is
+    |xi - other|_v."""
+    mu_norm = place_norm(mu, v)
+    if kind is VerdictKind.CONVERGES:
+        assert x0 == xi or mu_norm < 1
+    elif kind is VerdictKind.ESCAPES:
+        assert mu_norm > 1
+    elif kind is VerdictKind.SPHERE_INVARIANT:
+        on_the_sphere_of_other = place_norm(x0 - xi, v) == place_norm(xi - other, v)
+        assert (
+            mu_norm == 1
+            or x0 == other
+            or (not v.is_real and mu_norm > 1 and on_the_sphere_of_other)
+        )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@CONJUGATE_ORBITS
+def test_verdicts_obey_the_normal_form_law(lam, xi, other, x0, v, max_steps, bit_guard):
+    m, record = _conjugate_orbit(lam, xi, other, x0, v, max_steps, bit_guard)
+    kind = detect_behavior(record, m).kind
+    check_the_normal_form_law(kind, x0, xi, other, m.derivative_at(xi), v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    lam=MULTIPLIERS,
+    xi=SMALL_RATIONALS,
+    other=SMALL_RATIONALS,
+    v=st.sampled_from((REAL, Place(2), Place(3), Place(5))),
+    height=st.integers(0, 3),
+    max_steps=st.integers(0, 60),
+)
+def test_sweep_verdicts_obey_the_normal_form_law(lam, xi, other, v, height, max_steps):
+    # the maps of CONJUGATE_ORBITS, each swept through `basin_sample`
+    m = _conjugate_map(lam, xi, other)
+    mu = m.derivative_at(xi)
+    for point in basin_sample(m, xi, v, height, max_steps, 10**6):
+        check_the_normal_form_law(point.verdict.kind, point.x0, xi, other, mu, v)
+
+
+def test_the_named_sweeps_obey_the_normal_form_law_in_every_kind():
+    kinds = set()
+    for xi, other in ((Fraction(0), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(0))):
+        mu = CASE_A_MAP.derivative_at(xi)
+        for v in (REAL, Place(2), Place(3), Place(5)):
+            for point in basin_sample(CASE_A_MAP, xi, v, 4, max_steps=200):
+                kind = point.verdict.kind
+                check_the_normal_form_law(kind, point.x0, xi, other, mu, v)
+                kinds.add(kind)
+    assert kinds == set(VerdictKind)
 
 
 def test_short_orbit_verdict_is_the_same_in_a_basin_sweep():
@@ -651,26 +719,27 @@ def test_a_sweep_checks_xi_even_without_starts():
 
 def one_shot_sweep(m, xi, v, height, max_steps, bit_guard):
     """basin_sample's points written out as one `iterate_at_place` and one
-    `detect_behavior` per start, with the terminations seen."""
-    points, stops = [], set()
+    `detect_behavior` per start, with the terminations and verdict kinds
+    seen."""
+    points, seen = [], set()
     for den in range(1, height + 1):
         for num in range(-height, height + 1):
             x0 = Fraction(num, den)
             if math.gcd(num, den) != 1 or x0 == m.pole:
                 continue
             record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
-            stops.add(record.terminated_by)
             verdict = detect_behavior(record, m)
+            seen.update((record.terminated_by, verdict.kind))
             points.append(BasinPoint(x0, verdict, len(record.steps) - 1).to_dict())
-    return points, stops
+    return points, seen
 
 
 def check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard):
     """Compare the sweep with `one_shot_sweep`; a start past the bit guard
-    must raise the same error from both.  Returns the terminations seen, or
-    the raised error's message."""
+    must raise the same error from both.  Returns the terminations and
+    verdict kinds seen, or the raised error's message."""
     try:
-        expected, stops = one_shot_sweep(m, xi, v, height, max_steps, bit_guard)
+        expected, seen = one_shot_sweep(m, xi, v, height, max_steps, bit_guard)
     except ResourceLimitError as exc:
         with pytest.raises(ResourceLimitError) as raised:
             basin_sample(m, xi, v, height, max_steps, bit_guard)
@@ -678,7 +747,7 @@ def check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard):
         return str(exc)
     swept = basin_sample(m, xi, v, height, max_steps, bit_guard)
     assert [point.to_dict() for point in swept] == expected
-    return stops
+    return seen
 
 
 NONZERO_RATIONALS = SMALL_RATIONALS.filter(lambda r: r != 0)
@@ -693,6 +762,10 @@ SHORT_SWEEP = ((CASE_A_MAP, Fraction(0)), Place(2), 3, WINDOW - 1, 10**6)
 # x0 = 3 is at distance 9/2 from -3/2, past a 3-bit guard, after six starts
 # whose orbits trip the guard later
 GUARDED_SWEEP = ((CASE_A_MAP, Fraction(-3, 2)), REAL, 3, 40, 3)
+# the basin_real_repelling golden's sweep, and a 3-adic sphere sweep: each
+# meets the converged, sphere-invariant and undetermined verdicts
+REAL_SWEEP = ((CASE_A_MAP, Fraction(-3, 2)), REAL, 3, 200, DEFAULT_BIT_GUARD)
+SPHERE_SWEEP = ((CASE_A_MAP, Fraction(0)), Place(3), 3, 48, DEFAULT_BIT_GUARD)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -706,6 +779,8 @@ GUARDED_SWEEP = ((CASE_A_MAP, Fraction(-3, 2)), REAL, 3, 40, 3)
 @example(*POLE_HIT_SWEEP)
 @example(*SHORT_SWEEP)
 @example(*GUARDED_SWEEP)
+@example(*REAL_SWEEP)
+@example(*SPHERE_SWEEP)
 def test_a_sweep_is_its_one_shot_orbits(start, v, height, max_steps, bit_guard):
     m, xi = start
     check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
@@ -713,16 +788,20 @@ def test_a_sweep_is_its_one_shot_orbits(start, v, height, max_steps, bit_guard):
 
 def test_the_sweep_examples_reach_what_they_are_for():
     (m, xi), v, height, max_steps, bit_guard = POLE_HIT_SWEEP
-    stops = check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
-    assert Termination.POLE_HIT in stops
+    seen = check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
+    assert Termination.POLE_HIT in seen
+    kinds = {VerdictKind.CONVERGES, VerdictKind.SPHERE_INVARIANT, VerdictKind.UNDETERMINED}
+    for (m, xi), v, height, max_steps, bit_guard in (REAL_SWEEP, SPHERE_SWEEP):
+        seen = check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
+        assert kinds <= seen
     (m, xi), v, height, max_steps, bit_guard = SHORT_SWEEP
     points = basin_sample(m, xi, v, height, max_steps, bit_guard)
     assert {point.verdict.evidence.window for point in points} == {0, WINDOW - 1}
     (m, xi), v, height, max_steps, bit_guard = GUARDED_SWEEP
     error = check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
     assert error.startswith("the orbit starts with a 4-bit numerator")
-    _, stops = one_shot_sweep(m, xi, v, 2, max_steps, bit_guard)
-    assert Termination.OVERFLOW_GUARD in stops
+    seen = check_sweep_is_its_one_shot_orbits(m, xi, v, 2, max_steps, bit_guard)
+    assert Termination.OVERFLOW_GUARD in seen
 
 
 def test_real_distances_are_canonical_on_both_branches():
