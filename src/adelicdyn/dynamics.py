@@ -123,6 +123,7 @@ def _orbit_kernel(
     """
     scale = math.lcm(*(k.denominator for k in m.coefficients()))
     a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
+    det = a * d - b * c
     xi_num, xi_den = xi.numerator, xi.denominator
     # distance(num, den) is (dist, rank): rank orders the distances as dist
     # does, so a step's distance decreased iff its rank is below the last
@@ -167,11 +168,8 @@ def _orbit_kernel(
     # num xi_den - xi_num den or den xi_den), so only an x longer than
     # `near` can trip the guard
     near = bit_guard - max(xi_num.bit_length(), xi_den.bit_length()) - 1
-    prepared = (a, b, c, d, a * d - b * c, distance, near, bit_guard, WINDOW, CONVERGENCE_THRESHOLD)
 
     def run(x0: Fraction):
-        # the loop's names are fast locals, not cells of this closure
-        a, b, c, d, det, distance, near, bit_guard, window, threshold = prepared
         num, den = x0.numerator, x0.denominator
         dist, rank = distance(num, den)
         size = _bit_size(num, den, dist)
@@ -208,7 +206,7 @@ def _orbit_kernel(
             if xs is not None:
                 xs.append(coprime_fraction(num, den))
             dists.append(dist)
-            if decreasing_run >= window and dist < threshold:
+            if decreasing_run >= WINDOW and dist < CONVERGENCE_THRESHOLD:
                 terminated = Termination.CONVERGED
                 break
         return xs, dists, terminated
@@ -266,16 +264,19 @@ def detect_behavior(t: TrajectoryRecord, m: MoebiusMap) -> BehaviorVerdict:
     a small step budget) is undetermined.  Otherwise sphere-invariant means
     the distance never changed at all, and escape is only claimed for
     orbits that strictly grow over the last WINDOW steps after starting
-    strictly inside the locality radius, where repulsion is actually
-    guaranteed; strict growth from further out stays undetermined.
+    strictly inside the locality radius around an xi with |f'(xi)|_v > 1.
+    At a finite place such growth implies |f'(xi)|_v > 1 (inside the radius
+    the ultrametric scales each step's distance by it); at the real place an
+    orbit can grow for a window near an attracting or fused xi.
     """
-    return _verdict(t.distances(), t.terminated_by, _locality_radius(m, t.xi, t.place))
+    repels = place_norm(m.derivative_at(t.xi), t.place) > 1
+    return _verdict(t.distances(), t.terminated_by, _locality_radius(m, t.xi, t.place), repels)
 
 
 def _verdict(
-    dists: list[Fraction], terminated_by: Termination, rho: Fraction | None
+    dists: list[Fraction], terminated_by: Termination, rho: Fraction | None, repels: bool
 ) -> BehaviorVerdict:
-    """`detect_behavior` from an orbit's distances, stop and locality radius."""
+    """`detect_behavior` from an orbit's distances, stop, radius and |f'(xi)|_v > 1."""
     inside = None if rho is None else dists[0] < rho
     used = min(WINDOW, len(dists) - 1)
     tail = dists[-(used + 1) :]
@@ -299,7 +300,7 @@ def _verdict(
         kind = VerdictKind.UNDETERMINED
     elif constant_run == len(dists):
         kind = VerdictKind.SPHERE_INVARIANT
-    elif evidence.strictly_increasing and inside:
+    elif evidence.strictly_increasing and inside and repels:
         kind = VerdictKind.ESCAPES
     else:
         kind = VerdictKind.UNDETERMINED
@@ -361,6 +362,7 @@ def basin_sample(
     xi = m.check_fixed_point(xi)
     orbit = _orbit_kernel(m, xi, v, max_steps, bit_guard, False)
     rho = _locality_radius(m, xi, v)
+    repels = place_norm(m.derivative_at(xi), v) > 1
     pole = m.pole
     out = []
     for den in range(1, height + 1):
@@ -369,7 +371,7 @@ def basin_sample(
             if x0.denominator != den or x0 == pole:  # not in lowest terms, or the pole
                 continue
             _, dists, terminated = orbit(x0)
-            out.append(BasinPoint(x0, _verdict(dists, terminated, rho), len(dists) - 1))
+            out.append(BasinPoint(x0, _verdict(dists, terminated, rho, repels), len(dists) - 1))
     return out
 
 

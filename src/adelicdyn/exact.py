@@ -291,13 +291,10 @@ def _miller_rabin(n: int) -> bool:
 
 def _trial_division(m: int, bound: int) -> Iterator[tuple[int, int]]:
     """Yield the prime powers (p, e) of m >= 1 found by stripping 2, 3 and
-    the wheel's candidates d <= min(bound, isqrt(m)), p ascending; then
-    the cofactor left as (cofactor, 1) when it is above 1 and d*d exceeds
-    it, d the first candidate not tried, which proves it prime.  Nothing
-    past the hit a caller stops at is computed."""
-    # 2 and 3 are always stripped (the bound only limits the wheel); the
-    # primality certificate "d*d > m" needs every candidate below d to
-    # have been tried, bound or not
+    the wheel's candidates d <= min(bound, isqrt(m)), p ascending.  The
+    cofactor left is not yielded: the caller proves it prime or not.
+    Nothing past the hit a caller stops at is computed."""
+    # 2 and 3 are always stripped; the bound only limits the wheel
     for p in (2, 3):
         m, e = strip_prime(m, p)
         if e:
@@ -310,18 +307,17 @@ def _trial_division(m: int, bound: int) -> Iterator[tuple[int, int]]:
             yield d, e
             limit = min(bound, math.isqrt(m))
         d, gap = d + gap, 6 - gap
-    if m > 1 and d * d > m:
-        yield m, 1
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     """Factor n by trial division with primes <= bound.
 
     The result is complete when every prime factor is <= bound or the
-    cofactor surviving trial division is provably prime: no prime up to
-    its square root is left untried (always so when it is <= bound**2), or
-    it is below MR_LIMIT and passes the strong test.  Any other cofactor
-    raises FactorizationIncomplete rather than being reported as prime.
+    cofactor surviving trial division is proven prime, by its one proof:
+    it is below MR_LIMIT and passes the strong test.  A cofactor whose
+    square root the wheel reached is below (bound + 1)**2, which the
+    bound's cap keeps far below MR_LIMIT.  Any other cofactor raises
+    FactorizationIncomplete rather than being reported as prime.
     """
     if n == 0:
         raise ZeroInput("0 has no prime factorization")
@@ -358,7 +354,7 @@ def is_prime(n: int) -> bool:
     """
     if n < MR_LIMIT:
         return n >= 2 and _miller_rabin(n)
-    # n is far above WITNESS_BOUND**2, so a hit is never n: n is composite
+    # every yield is a prime <= WITNESS_BOUND < n, so a hit proves n composite
     if next(_trial_division(n, WITNESS_BOUND), None) is not None:
         return False
     raise ResourceLimitError(

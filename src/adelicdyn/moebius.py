@@ -122,14 +122,13 @@ class MoebiusMap(Value):
         l^(n-1) (n M - (n-1) l I) for a fused eigenvalue l.  The formula is
         applied entry by entry: the powers need no gcd, and each product
         after them pairs a large operand with a small one.  Any other map is
-        powered by repeated squaring.  Negative n powers the adjugate
-        det M^-1, so power(-n) acts as f^-n but its coefficients are
-        det^n M^-n, not those of M^-n.
+        powered by repeated squaring.  At n = 0 each way gives I:
+        (l1 - l2) I / r, l^-1 l I (det = l^2 != 0), and no squaring.
+        Negative n powers the adjugate det M^-1, so power(-n) acts as f^-n
+        but its coefficients are det^n M^-n, not those of M^-n.
         """
         if n < 0:
             return self.inverse().power(-n)
-        if n == 0:
-            return MoebiusMap.identity()
         root = is_perfect_square(discriminant(self))
         if root is not None:
             entries = zip(self.coefficients(), (1, 0, 0, 1))

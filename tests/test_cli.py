@@ -267,6 +267,25 @@ def test_pole_start_is_reported_in_band():
     assert doc["verdict"]["kind"] == "undetermined"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # -7/2 attracts (f' = 7/8); the orbit leaves the repeller 0 for the pole
+        ["--map", "-4,0,1/7,-7/2", "--x0", "1/3", "--xi", "-7/2", "--steps", "17"],
+        # -1 is fused (f' = 1); the distance 1/|w| grows as w = -100, -98, ...
+        ["--map", "-1,-2,2,3", "--x0", "-101/100", "--xi", "-1", "--steps", "20"],
+    ],
+    ids=["attracting", "fused"],
+)
+def test_real_growth_near_a_point_that_does_not_repel_is_no_escape(flags):
+    code, out, _ = run_cli(["--format", "json", "iterate", "--place", "real", *flags])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["kind"] == "undetermined"
+    assert verdict["evidence"]["strictly_increasing"] is True
+    assert verdict["evidence"]["start_inside_radius"] is True
+
+
 def test_env_var_overrides_format():
     args = ["classify", "--map", "1/2,0,1,2"]
     code, out, _ = run_cli(args, env_extra={"ADELICDYN_FORMAT": "json"})

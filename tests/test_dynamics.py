@@ -41,7 +41,14 @@ from adelicdyn.errors import (
     ResourceLimitError,
     ZeroInput,
 )
-from adelicdyn.classification import case_a_map, case_b_map
+from adelicdyn.classification import (
+    case_a_map,
+    case_b_map,
+    case_c_map,
+    case_d_map,
+    case_e_map,
+    case_f_map,
+)
 from adelicdyn.exact import coprime_fraction, int_digit_limit
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL, padic_norm, place_norm
@@ -387,6 +394,26 @@ def test_detect_escapes_real():
     assert verdict.kind is VerdictKind.ESCAPES
 
 
+#: Real orbits whose distance strictly grows over the window from inside the
+#: locality radius, around a fixed point that does not repel.
+ATTRACTING_GROWTH = (
+    MoebiusMap(-4, 0, Fraction(1, 7), Fraction(-7, 2)), Fraction(1, 3), Fraction(-7, 2), 17
+)
+FUSED_GROWTH = (MoebiusMap(-1, -2, 2, 3), Fraction(-101, 100), Fraction(-1), 20)
+
+
+@pytest.mark.parametrize("m, x0, xi, max_steps", [ATTRACTING_GROWTH, FUSED_GROWTH])
+def test_real_growth_near_a_point_that_does_not_repel_is_no_escape(m, x0, xi, max_steps):
+    # f'(-7/2) = 7/8: the orbit leaves the repeller 0 for the pole 49/2 and
+    # converges to -7/2 later; f'(-1) = 1, and the distance 1/|w| grows as
+    # w = 1/(x + 1) runs -100, -98, ..., -60
+    assert place_norm(m.derivative_at(xi), REAL) <= 1
+    verdict = detect_behavior(iterate_at_place(m, x0, xi, REAL, max_steps), m)
+    assert verdict.kind is VerdictKind.UNDETERMINED
+    assert verdict.evidence.strictly_increasing
+    assert verdict.evidence.start_inside_radius is True
+
+
 def test_detect_undetermined_outside_radius():
     record = iterate_at_place(CASE_A_MAP, 1, 0, Place(2), max_steps=30)
     verdict = detect_behavior(record, CASE_A_MAP)
@@ -410,6 +437,7 @@ def reference_verdict(t, m, window=16, threshold=Fraction(1, 2**40)):
     if m.c != 0:
         rho = place_norm(m.c * t.xi + m.d, t.place) / place_norm(m.c, t.place)
     inside = None if rho is None else dists[0] < rho
+    repels = place_norm(m.derivative_at(t.xi), t.place) > 1
     used = min(window, len(dists) - 1)
     tail = dists[-(used + 1) :]
     run = 1
@@ -435,7 +463,7 @@ def reference_verdict(t, m, window=16, threshold=Fraction(1, 2**40)):
         return BehaviorVerdict(VerdictKind.SPHERE_INVARIANT, evidence)
     if evidence.strictly_decreasing and dists[-1] < threshold:
         return BehaviorVerdict(VerdictKind.CONVERGES, evidence)
-    if evidence.strictly_increasing and inside:
+    if evidence.strictly_increasing and inside and repels:
         return BehaviorVerdict(VerdictKind.ESCAPES, evidence)
     return BehaviorVerdict(VerdictKind.UNDETERMINED, evidence)
 
@@ -766,6 +794,8 @@ GUARDED_SWEEP = ((CASE_A_MAP, Fraction(-3, 2)), REAL, 3, 40, 3)
 # meets the converged, sphere-invariant and undetermined verdicts
 REAL_SWEEP = ((CASE_A_MAP, Fraction(-3, 2)), REAL, 3, 200, DEFAULT_BIT_GUARD)
 SPHERE_SWEEP = ((CASE_A_MAP, Fraction(0)), Place(3), 3, 48, DEFAULT_BIT_GUARD)
+# holds ATTRACTING_GROWTH's start 1/3, whose orbit must not escape here either
+ATTRACTING_SWEEP = ((ATTRACTING_GROWTH[0], Fraction(-7, 2)), REAL, 3, 17, DEFAULT_BIT_GUARD)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -781,6 +811,7 @@ SPHERE_SWEEP = ((CASE_A_MAP, Fraction(0)), Place(3), 3, 48, DEFAULT_BIT_GUARD)
 @example(*GUARDED_SWEEP)
 @example(*REAL_SWEEP)
 @example(*SPHERE_SWEEP)
+@example(*ATTRACTING_SWEEP)
 def test_a_sweep_is_its_one_shot_orbits(start, v, height, max_steps, bit_guard):
     m, xi = start
     check_sweep_is_its_one_shot_orbits(m, xi, v, height, max_steps, bit_guard)
@@ -802,6 +833,98 @@ def test_the_sweep_examples_reach_what_they_are_for():
     assert error.startswith("the orbit starts with a 4-bit numerator")
     seen = check_sweep_is_its_one_shot_orbits(m, xi, v, 2, max_steps, bit_guard)
     assert Termination.OVERFLOW_GUARD in seen
+
+
+#: Maps with one fixed point xi, from the constructors of cases C-F: w =
+#: 1/(x - xi) conjugates each to w -> w + t, t = c/(c xi + d).
+FUSED_MAPS = st.one_of(
+    st.builds(case_c_map, st.sampled_from((1, -1)), NONZERO_RATIONALS),
+    st.builds(case_d_map, st.sampled_from((1, -1)), NONZERO_RATIONALS),
+    st.builds(case_e_map, SMALL_RATIONALS, NONZERO_RATIONALS),
+    st.builds(case_f_map, SMALL_RATIONALS, NONZERO_RATIONALS),
+)
+FUSED_PLACES = (REAL, Place(2), Place(3), Place(5), Place(7))
+
+
+def _fused_point_and_shift(m):
+    (xi,) = fixed_points(m).points
+    return xi, m.c / (m.c * xi + m.d)
+
+
+def check_the_fused_point_law(kind, x0, xi, t, v, dists):
+    """Check an orbit of x0 around a fused xi against w_n = w_0 + n t, the
+    map in the coordinate w = 1/(x - xi): `dists` holds pairs (n, |x_n -
+    xi|_v), each of which must be 1/|w_n|_v.  The derivative at xi is 1, so
+    no orbit escapes; at a finite place |w_n|_v is bounded, so only a start
+    on xi converges there."""
+    if x0 != xi:
+        w0 = 1 / (x0 - xi)
+        for n, dist in dists:
+            assert dist == 1 / place_norm(w0 + n * t, v), n
+    assert kind is not VerdictKind.ESCAPES
+    if kind is VerdictKind.CONVERGES:
+        assert x0 == xi or v.is_real
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    m=FUSED_MAPS,
+    x0=SMALL_RATIONALS,
+    v=st.sampled_from(FUSED_PLACES),
+    max_steps=st.integers(0, 200),
+    bit_guard=st.sampled_from((30, 10**6)),
+)
+@example(FUSED_GROWTH[0], FUSED_GROWTH[1], REAL, FUSED_GROWTH[3], DEFAULT_BIT_GUARD)
+# t = 2 and w_0 = -6 for -1 - 1/6 = -7/6, so w_3 = 0: x_2 is the pole
+@example(case_c_map(1, 2), Fraction(-7, 6), Place(3), 10, DEFAULT_BIT_GUARD)
+def test_every_fused_orbit_point_is_the_closed_form(m, x0, v, max_steps, bit_guard):
+    xi, t = _fused_point_and_shift(m)
+    record = iterate_at_place(m, x0, xi, v, max_steps, bit_guard)
+    kind = detect_behavior(record, m).kind
+    check_the_fused_point_law(kind, x0, xi, t, v, enumerate(record.distances()))
+    if x0 == xi:
+        return
+    w0 = 1 / (x0 - xi)
+    for step in record.steps:
+        assert step.x == xi + 1 / (w0 + step.n * t), step.n
+    if record.terminated_by is not Termination.MAX_STEPS:
+        pole_next = w0 + len(record.steps) * t == 0
+        assert pole_next == (record.terminated_by is Termination.POLE_HIT)
+
+
+def check_fused_sweep(m, v, height, max_steps):
+    """Check each point of a sweep around a fused xi by its last distance;
+    with no bit guard, an orbit that stops short of `max_steps` unconverged
+    hit the pole, where w is 0.  Returns the verdict kinds seen."""
+    xi, t = _fused_point_and_shift(m)
+    kinds = set()
+    for point in basin_sample(m, xi, v, height, max_steps, 10**6):
+        x0, kind, n = point.x0, point.verdict.kind, point.steps_used
+        check_the_fused_point_law(kind, x0, xi, t, v, [(n, point.verdict.evidence.final_dist)])
+        if n < max_steps and kind is not VerdictKind.CONVERGES:
+            assert 1 / (x0 - xi) + (n + 1) * t == 0
+        kinds.add(kind)
+    return kinds
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    m=FUSED_MAPS,
+    v=st.sampled_from(FUSED_PLACES),
+    height=st.integers(0, 3),
+    max_steps=st.integers(0, 60),
+)
+def test_fused_sweeps_obey_the_fused_point_law(m, v, height, max_steps):
+    check_fused_sweep(m, v, height, max_steps)
+
+
+def test_the_named_fused_sweeps_obey_the_fused_point_law():
+    maps = (case_c_map(1, 2), case_d_map(-1, 3), case_e_map(2, 1), case_f_map(Fraction(1, 2), -3))
+    kinds = set()
+    for m in maps:
+        for v in FUSED_PLACES:
+            kinds |= check_fused_sweep(m, v, 4, 200)
+    assert kinds == {VerdictKind.CONVERGES, VerdictKind.SPHERE_INVARIANT, VerdictKind.UNDETERMINED}
 
 
 def test_real_distances_are_canonical_on_both_branches():

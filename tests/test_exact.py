@@ -301,8 +301,8 @@ def test_a_limit_names_the_largest_value_that_passes(cost):
 
 
 def test_factorize_minimal_bound_stays_correct():
-    # 2 and 3 are stripped even when the bound excludes 3, so the
-    # prime certificate for the cofactor stays sound
+    # 2 and 3 are stripped even when the bound excludes 3; the cofactor
+    # left is proven prime by the strong test alone, or refused
     assert factorize(9, bound=2).factors == ((3, 2),)
     assert factorize(15, bound=2).factors == ((3, 1), (5, 1))
     assert factorize(21, bound=2).factors == ((3, 1), (7, 1))
