@@ -10,6 +10,9 @@ times the old, coprime one, so the new pair's gcd divides det.  Every
 recorded x and dist is still an exact, canonical Fraction.  A bit-size
 guard aborts runaway orbits instead of falling back to floating point.
 A basin sweep checks xi once, and its one orbit kernel records only distances.
+An adele step applies the map once per distinct component value, and the
+adeles the library builds itself skip the checks of `AdelePoint(...)`:
+their primes are proven once, by `factorize` or by the first constructor.
 """
 
 from __future__ import annotations
@@ -428,6 +431,16 @@ class AdelePoint(Value):
             )
         self._set(real, MappingProxyType(finite), elsewhere)
 
+    @classmethod
+    def _proven(
+        cls, real: Fraction, finite: dict[int, Fraction], elsewhere: Fraction
+    ) -> "AdelePoint":
+        """An adele from Fraction parts known to hold: every key of `finite`
+        a proven prime and `elsewhere` integral at every other prime."""
+        x = object.__new__(cls)
+        x._set(real, MappingProxyType(finite), elsewhere)
+        return x
+
     def __hash__(self) -> int:
         return hash((self.real, frozenset(self.finite.items()), self.elsewhere))
 
@@ -453,10 +466,13 @@ class AdelePoint(Value):
 
 
 def principal_adele(r: RationalLike, bound: int = DEFAULT_FACTOR_BOUND) -> AdelePoint:
-    """The diagonal embedding of one rational, listing its denominator primes."""
+    """The diagonal embedding of one rational, listing its denominator primes.
+
+    Its primes are those `factorize` proved, and are not proven again.
+    """
     r = Fraction(r)
     listed = factorize(r.denominator, bound).primes()
-    return AdelePoint(real=r, finite={p: r for p in listed}, elsewhere=r)
+    return AdelePoint._proven(r, {p: r for p in listed}, r)
 
 
 def step_adele(
@@ -466,7 +482,11 @@ def step_adele(
 
     Any prime where the shared tail value stops being integral after the
     step becomes listed, so the output satisfies the adele restriction
-    again.
+    again.  A pole is reported at the first place that holds it: the real
+    place, then the listed primes ascending, then every unlisted place.
+    The map is applied once per distinct component value, so a step of a
+    principal adele costs one application; the listed primes are proven
+    already, and the new ones by `factorize`, so none is proven again.
     """
     pole = m.pole
     if pole is not None:
@@ -477,14 +497,22 @@ def step_adele(
                 raise PoleAtPlace(Place(p))
         if x.elsewhere == pole:
             raise PoleAtPlace(None, "pole hit at every unlisted place")
-    new_elsewhere = m.apply(x.elsewhere)
-    new_finite = {p: m.apply(xp) for p, xp in x.finite.items()}
+    # keyed by the parts of the canonical value: Fraction's own hash takes
+    # a modular inverse on every call
+    images: dict[tuple[int, int], Fraction] = {}
+
+    def image(value: Fraction) -> Fraction:
+        key = value.numerator, value.denominator
+        y = images.get(key)
+        if y is None:
+            y = images[key] = m.apply(value)
+        return y
+
+    new_elsewhere = image(x.elsewhere)
+    new_finite = {p: image(xp) for p, xp in x.finite.items()}
     for p in factorize(new_elsewhere.denominator, bound).primes():
-        if p not in new_finite:
-            new_finite[p] = new_elsewhere
-    return AdelePoint(
-        real=m.apply(x.real), finite=new_finite, elsewhere=new_elsewhere
-    )
+        new_finite.setdefault(p, new_elsewhere)
+    return AdelePoint._proven(image(x.real), new_finite, new_elsewhere)
 
 
 class ProductFormulaReport(NamedTuple):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adelicdyn import dynamics
+from adelicdyn import dynamics, padic
 from adelicdyn.dynamics import (
     DEFAULT_BIT_GUARD,
     WINDOW,
@@ -49,7 +49,7 @@ from adelicdyn.classification import (
     case_e_map,
     case_f_map,
 )
-from adelicdyn.exact import coprime_fraction, int_digit_limit
+from adelicdyn.exact import coprime_fraction, int_digit_limit, is_prime
 from adelicdyn.moebius import MoebiusMap, fixed_points
 from adelicdyn.padic import Place, REAL, padic_norm, place_norm
 from helpers import rand_rational, rand_square_disc_map
@@ -1092,6 +1092,91 @@ def test_step_adele_keeps_restriction():
             for p in point.listed_primes():
                 assert point.component(Place(p)) == point.finite[p]
             assert point.component(Place(101)) == point.elsewhere
+
+
+def test_a_step_applies_the_map_once_per_distinct_component(monkeypatch):
+    applied, proved = [], []
+    apply = MoebiusMap.apply
+    monkeypatch.setattr(MoebiusMap, "apply", lambda m, x: applied.append(x) or apply(m, x))
+    monkeypatch.setattr(padic, "is_prime", lambda n: proved.append(n) or is_prime(n))
+    # a principal adele keeps one component value, so one application a step
+    point = principal_adele(Fraction(1, 3))
+    for n in range(1, 13):
+        point = step_adele(CASE_A_MAP, point)
+        assert len(applied) == n
+    assert len(point.listed_primes()) > 1
+    # the listed primes are proven by `factorize`, never again by `Place`
+    assert proved == []
+    # three distinct values among five components, equal ones in separate
+    # objects (the public constructor copies each), cost three applications
+    applied.clear()
+    half = Fraction(1, 2)
+    point = AdelePoint(real=1, finite={2: half, 3: 1, 5: half, 7: 3}, elsewhere=1)
+    stepped = step_adele(CASE_A_MAP, point)
+    assert sorted(applied) == [half, 1, 3]
+    for v in (REAL, Place(2), Place(3), Place(5), Place(7), Place(11)):
+        assert stepped.component(v) == apply(CASE_A_MAP, point.component(v))
+
+
+LISTABLE_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def adeles_under_a_map(draw):
+    """(m, x) for a non-principal adele x: 2-4 listed primes sharing a pool
+    of at most three values, which often holds m's pole, and a tail
+    integral off the listed primes that is sometimes one of those values."""
+    a, b, c, d = draw(st.tuples(*[SMALL_RATIONALS] * 4))
+    assume(a * d - b * c != 0)
+    m = MoebiusMap(a, b, c, d)
+    primes = draw(st.lists(st.sampled_from(LISTABLE_PRIMES), min_size=2, max_size=4, unique=True))
+    tails = st.builds(
+        lambda num, exponents: Fraction(num, math.prod(map(pow, primes, exponents))),
+        st.integers(-30, 30),
+        st.tuples(*[st.integers(0, 2)] * len(primes)),
+    )
+    pool = draw(st.lists(SMALL_RATIONALS | tails, min_size=1, max_size=3))
+    if m.pole is not None and draw(st.booleans()):
+        pool.append(m.pole)
+    finite = {p: draw(st.sampled_from(pool)) for p in primes}
+    real = draw(st.sampled_from(pool) | SMALL_RATIONALS)
+    def integral_off_primes(v):
+        den, listed = v.denominator, math.prod(primes)
+        while (g := math.gcd(den, listed)) > 1:
+            den //= g
+        return den == 1
+
+    integral = [v for v in pool if integral_off_primes(v)]
+    elsewhere = draw(st.sampled_from(integral) | tails if integral else tails)
+    return m, AdelePoint(real, finite, elsewhere)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=adeles_under_a_map())
+@example(  # two listed primes hold the pole -2; the smaller one is named
+    case=(CASE_A_MAP, AdelePoint(1, {7: -2, 3: -2, 5: 1}, Fraction(1, 3)))
+)
+def test_a_step_is_componentwise_and_checked(case):
+    m, x = case
+    pole = m.pole
+    held = [p for p in x.listed_primes() if x.finite[p] == pole]
+    if pole is not None and (x.real == pole or held or x.elsewhere == pole):
+        with pytest.raises(PoleAtPlace) as info:
+            step_adele(m, x)
+        if x.real == pole:
+            assert info.value.place == REAL
+        elif held:
+            assert info.value.place == Place(min(held))
+        else:
+            assert info.value.place is None
+        return
+    y = step_adele(m, x)
+    # the unchecked result is what the public constructor builds from it
+    assert y == AdelePoint(y.real, dict(y.finite), y.elsewhere)
+    assert set(y.listed_primes()) >= set(x.listed_primes())
+    unlisted = next(p for p in (13, 17, 19, 23) if p not in y.finite)
+    for v in (REAL, *map(Place, y.listed_primes()), Place(unlisted)):
+        assert y.component(v) == m.apply(x.component(v))
 
 
 def test_product_norm_examples():

@@ -220,10 +220,12 @@ def test_factorize_incomplete_above_bound_squared():
 def test_factorization_error_names_a_bound_that_decides():
     # products of primes above the bound, times small primes below it; the
     # error names isqrt of the cofactor, which is above the failed bound and
-    # with which the factorization completes
+    # with which the factorization completes.  The cofactor is a product of
+    # two or three primes above the bound, so every one of the 60 draws
+    # must raise; a fixed count fails, rather than hangs, when one does not
     rng = random.Random(29)
     pairs = []
-    while len(pairs) < 60:
+    for _ in range(60):
         bound = rng.choice((2, 3, 4, 5, 10, 30, 100, 1000))
         count = rng.randint(2, 3)
         big = [sympy.nextprime(bound * rng.randint(1, 50)) for _ in range(count)]
@@ -233,6 +235,7 @@ def test_factorization_error_names_a_bound_that_decides():
             factorize(n, bound)
         except FactorizationIncomplete as exc:
             pairs.append((n, bound, str(exc)))
+    assert len(pairs) == 60
     for n, bound, message in pairs:
         named = int(re.search(r"; a factor bound of (\d+) decides it$", message)[1])
         assert named > bound
