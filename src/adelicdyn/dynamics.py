@@ -3,14 +3,13 @@ formula.
 
 Iteration never leaves the rationals: every orbit point and every distance
 to the reference fixed point is an exact Fraction, so statements like "the
-sphere is invariant" are literal equality checks.  Orbits are stepped as an
-integer matrix acting on the point's num/den pair, each step reduced by a
-gcd against the matrix's det, since the adjugate maps the new pair to det
-times the old, coprime one, so the new pair's gcd divides det.  Every
-recorded x and dist is still an exact, canonical Fraction.  A bit-size
-guard aborts runaway orbits instead of falling back to floating point.
-A basin sweep checks xi once, and its one orbit kernel records only distances.
-An adele step applies the map once per distinct component value, and the
+sphere is invariant" are literal equality checks.  An orbit step is
+`MoebiusMap.apply`'s, on the map's cleared integer matrix (the `moebius`
+docstring states the rule).  Every recorded x and dist is still an exact,
+canonical Fraction.  A bit-size guard aborts runaway orbits instead of
+falling back to floating point.  A basin sweep checks xi once, and its one
+orbit kernel records only distances.  An adele step applies the map once
+to each distinct component value, which also finds the pole, and the
 adeles the library builds itself skip the checks of `AdelePoint(...)`:
 their primes are proven once, by `factorize` or by the first constructor.
 """
@@ -29,6 +28,7 @@ from .errors import (
     NonIntegralTail,
     NotIndifferent,
     PoleAtPlace,
+    PoleInput,
     ResourceLimitError,
     ZeroInput,
 )
@@ -116,16 +116,12 @@ def _orbit_kernel(
     """run(x0) -> (xs, dists, terminated), the orbit of x0 for a checked xi, with
     xs None unless `keep_xs`; all that does not depend on x0 is prepared here.
 
-    The map's denominators are cleared once into an integer matrix
-    (a, b, c, d), which acts on the point as the pair num/den: a step is
-    (a num + b den) / (c num + d den), whose gcd divides det because the
-    adjugate maps that pair to det (num, den) with num, den coprime, so it
-    is gcd(gcd(a num + b den, det), c num + d den), a gcd against det.
-    The distance comes from the integer num xi_den - xi_num den; at a
-    p-adic place "the distance decreased" is decided on its valuation.
+    The map is cleared once, and a step is `MoebiusMap.apply`'s, inline on
+    the pair num/den.  The distance comes from the integer
+    num xi_den - xi_num den; at a p-adic place "the distance decreased" is
+    decided on its valuation.
     """
-    scale = math.lcm(*(k.denominator for k in m.coefficients()))
-    a, b, c, d = (k.numerator * (scale // k.denominator) for k in m.coefficients())
+    a, b, c, d = m._matrix()
     det = a * d - b * c
     xi_num, xi_den = xi.numerator, xi.denominator
     # distance(num, den) is (dist, rank): rank orders the distances as dist
@@ -484,29 +480,33 @@ def step_adele(
     step becomes listed, so the output satisfies the adele restriction
     again.  A pole is reported at the first place that holds it: the real
     place, then the listed primes ascending, then every unlisted place.
-    The map is applied once per distinct component value, so a step of a
-    principal adele costs one application; the listed primes are proven
-    already, and the new ones by `factorize`, so none is proven again.
+    Each distinct component value is mapped once, and the pole is the value
+    whose `MoebiusMap.apply` raises `PoleInput`, so a step of a principal
+    adele costs one application and no separate pole test; the listed
+    primes are proven already, and the new ones by `factorize`, so none is
+    proven again.
     """
-    pole = m.pole
+    # the distinct component values, keyed by their parts: Fraction's own
+    # hash takes a modular inverse on every call
+    values = {(r.numerator, r.denominator): r for r in (x.real, x.elsewhere, *x.finite.values())}
+    images: dict[tuple[int, int], Fraction] = {}
+    pole = None
+    for key, r in values.items():
+        try:
+            images[key] = m.apply(r)
+        except PoleInput:  # r is the pole, which at most one value is
+            pole = r
+            break
     if pole is not None:
         if x.real == pole:
             raise PoleAtPlace(REAL)
         for p in x.listed_primes():
             if x.finite[p] == pole:
                 raise PoleAtPlace(Place(p))
-        if x.elsewhere == pole:
-            raise PoleAtPlace(None, "pole hit at every unlisted place")
-    # keyed by the parts of the canonical value: Fraction's own hash takes
-    # a modular inverse on every call
-    images: dict[tuple[int, int], Fraction] = {}
+        raise PoleAtPlace(None, "pole hit at every unlisted place")
 
     def image(value: Fraction) -> Fraction:
-        key = value.numerator, value.denominator
-        y = images.get(key)
-        if y is None:
-            y = images[key] = m.apply(value)
-        return y
+        return images[value.numerator, value.denominator]
 
     new_elsewhere = image(x.elsewhere)
     new_finite = {p: image(xp) for p, xp in x.finite.items()}

@@ -7,10 +7,21 @@ squaring otherwise.  Poles raise errors rather than extending the
 rationals by a point at infinity; the scalar type stays closed.  Maps are
 kept exactly as constructed (no silent normalization);
 `rescale_to_unit_det` is the explicit route to det = 1.
+
+Pointwise work reads the map's cleared integer matrix (A, B, C, D), the
+coefficients times the lcm of their denominators, which is the same map.
+At x = n/q in lowest terms, f(x) = (An + Bq)/(Cn + Dq), whose parts have
+a gcd dividing det = AD - BC, and f'(x) = det q^2/(Cn + Dq)^2.  Each is
+reduced once, at the end, where a chain of Fraction operations takes
+gcds at every step; apply takes its gcd against det, where any common
+factor must lie (the idea of Henrici's rule, Knuth TAOCP vol. 2, 4.5.1).
+The pole is Cn + Dq = 0, and the fixed points come from one integer
+square root of (A - D)^2 + 4BC.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,7 +35,7 @@ from .errors import (
     PoleInput,
     SingularMap,
 )
-from .exact import RationalLike, Value, is_perfect_square, parse_rationals, shown
+from .exact import RationalLike, Value, coprime_fraction, is_perfect_square, parse_rationals, shown
 
 
 class MoebiusMap(Value):
@@ -71,14 +82,39 @@ class MoebiusMap(Value):
         """The input where the map blows up; None for affine maps (c = 0)."""
         if self.c == 0:
             return None
-        return -self.d / self.c
+        _, _, c, d = self._matrix()
+        return Fraction(-d, c)
+
+    def _matrix(self) -> tuple[int, int, int, int]:
+        """(A, B, C, D): the coefficients times the lcm of their denominators."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        s = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        return (
+            a.numerator * (s // a.denominator),
+            b.numerator * (s // b.denominator),
+            c.numerator * (s // c.denominator),
+            d.numerator * (s // d.denominator),
+        )
 
     def apply(self, x: RationalLike) -> Fraction:
+        """(An + Bq)/(Cn + Dq) at x = n/q.  The adjugate maps that pair to
+        det (n, q), so its gcd divides det = AD - BC: it is
+        gcd(gcd(An + Bq, det), Cn + Dq), one gcd against det and, only
+        when that is not 1, a second."""
         x = Fraction(x)
-        den = self.c * x + self.d
+        a, b, c, d = self._matrix()
+        n, q = x.numerator, x.denominator
+        den = c * n + d * q
         if den == 0:
             raise PoleInput(f"{shown(x)} is the pole -d/c of the map")
-        return (self.a * x + self.b) / den
+        num = a * n + b * q
+        g = math.gcd(num, a * d - b * c)
+        if g != 1:
+            g = math.gcd(g, den)
+            num, den = num // g, den // g
+        if den < 0:
+            num, den = -num, -den
+        return coprime_fraction(num, den)
 
     def check_fixed_point(self, xi: RationalLike) -> Fraction:
         """xi as a Fraction; NotAFixedPoint unless the map fixes it."""
@@ -91,12 +127,17 @@ class MoebiusMap(Value):
         return self.apply(x)
 
     def derivative_at(self, x: RationalLike) -> Fraction:
-        """(ad - bc)/(cx + d)^2, exactly."""
+        """(ad - bc)/(cx + d)^2, exactly: (AD - BC) q^2/(Cn + Dq)^2 at
+        x = n/q, reduced by one gcd."""
         x = Fraction(x)
-        den = self.c * x + self.d
+        a, b, c, d = self._matrix()
+        n, q = x.numerator, x.denominator
+        den = c * n + d * q
         if den == 0:
             raise PoleInput(f"derivative undefined at the pole {shown(x)}")
-        return self.det / den**2
+        num, den = (a * d - b * c) * q * q, den * den
+        g = math.gcd(num, den)
+        return coprime_fraction(num // g, den // g)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product: self.compose(other)(x) == self(other(x))."""
@@ -198,22 +239,24 @@ def fixed_points(m: MoebiusMap) -> FixedPoints:
     """Roots of c x^2 + (d - a) x - b = 0, exact.
 
     Requires c != 0 (the affine case is out of scope) and a rational square
-    discriminant (otherwise the fixed points leave Q).
+    discriminant (otherwise the fixed points leave Q).  On the cleared
+    matrix they are (A - D -+ r)/2C with r^2 = (A - D)^2 + 4BC, ascending
+    once r takes the sign of C.
     """
     if m.c == 0:
         raise CIsZero("fixed-point analysis needs c != 0")
-    disc = discriminant(m)
-    root = is_perfect_square(disc)
-    if root is None:
+    a, b, c, d = m._matrix()
+    disc = (a - d) ** 2 + 4 * b * c
+    root = math.isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
         raise NonRationalFixedPoints(
-            f"discriminant {shown(disc)} is not a rational square"
+            f"discriminant {shown(discriminant(m))} is not a rational square"
         )
     if root == 0:
-        return FixedPoints(((m.a - m.d) / (2 * m.c),))
-    first = (m.a - m.d - root) / (2 * m.c)
-    second = (m.a - m.d + root) / (2 * m.c)
-    lo, hi = sorted((first, second))
-    return FixedPoints((lo, hi))
+        return FixedPoints((Fraction(a - d, 2 * c),))
+    if c < 0:
+        root = -root
+    return FixedPoints((Fraction(a - d - root, 2 * c), Fraction(a - d + root, 2 * c)))
 
 
 def cross_ratio(

@@ -1,9 +1,12 @@
 """Maps, matrix calculus, fixed points, cross-ratio, integer families."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adelicdyn.errors import (
     CIsZero,
@@ -24,7 +27,7 @@ from adelicdyn.moebius import (
     fixed_points,
     modular_family,
 )
-from adelicdyn.exact import is_perfect_square
+from adelicdyn.exact import is_perfect_square, shown
 from helpers import rand_map, rand_nonzero, rand_rational, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
@@ -281,6 +284,121 @@ def test_rescale_preserves_the_function():
         x = rand_rational(rng, 20)
         if scaled.c * x + scaled.d != 0:
             assert back.apply(x) == scaled.apply(x)
+
+
+def _coefficient():
+    """Zero, small and negative integers, and fractions whose parts run to
+    40 digits."""
+    big = 10**40
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-9, 9).map(Fraction),
+        st.builds(Fraction, st.integers(-big, big), st.integers(1, big)),
+    )
+
+
+def _maps():
+    """Coefficient tuples of nonsingular maps: four drawn coefficients, the
+    conjugate s P diag(l, 1) P^-1 with rational fixed points x1, x2, and the
+    fused s P [[1, t], [0, 1]] P^-1 with the one fixed point x1."""
+    c = _coefficient()
+    nonzero = c.filter(bool)
+    drawn = st.tuples(c, c, c, c)
+    two = st.builds(
+        lambda x1, x2, l, s: tuple(
+            s * k for k in (l * x1 - x2, (1 - l) * x1 * x2, l - 1, x1 - l * x2)
+        ),
+        c, c, nonzero, nonzero,
+    )
+    fused = st.builds(
+        lambda x1, t, s: tuple(s * k for k in (x1 * t + 1, -x1 * x1 * t, t, 1 - t * x1)),
+        c, nonzero, nonzero,
+    )
+    return st.one_of(drawn, two, fused).filter(lambda k: k[0] * k[3] != k[1] * k[2])
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_canonical(y):
+    assert type(y) is Fraction
+    assert y.denominator > 0
+    assert math.gcd(y.numerator, y.denominator) == 1
+    assert hash(y) == hash(Fraction(y.numerator, y.denominator))
+
+
+def _plain(coeffs, x):
+    """apply, derivative_at and check_fixed_point at x, by the textbook
+    formulas in plain Fraction arithmetic."""
+    a, b, c, d = coeffs
+    den = c * x + d
+    if den == 0:
+        at_pole = PoleInput, f"{shown(x)} is the pole -d/c of the map"
+        return at_pole, (PoleInput, f"derivative undefined at the pole {shown(x)}"), at_pole
+    image = (a * x + b) / den
+    fixed = x if image == x else (NotAFixedPoint, f"{shown(x)} is not fixed by the map")
+    return image, (a * d - b * c) / den**2, fixed
+
+
+def _plain_fixed_points(coeffs):
+    a, b, c, d = coeffs
+    if c == 0:
+        return CIsZero, "fixed-point analysis needs c != 0"
+    disc = (a - d) ** 2 + 4 * b * c
+    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if disc < 0 or num * num != disc.numerator or den * den != disc.denominator:
+        return NonRationalFixedPoints, f"discriminant {shown(disc)} is not a rational square"
+    roots = {(a - d + sign * Fraction(num, den)) / (2 * c) for sign in (1, -1)}
+    return FixedPoints(tuple(sorted(roots)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(coeffs=_maps(), data=st.data())
+@example(coeffs=(Fraction(1, 2), 0, 1, 2), data=None)  # case A, the pole -2
+@example(coeffs=(3, 2, -2, -1), data=None)  # fused at -1, c < 0
+@example(coeffs=(2, 1, 0, 1), data=None)  # affine
+def test_pointwise_methods_match_plain_formulas(coeffs, data):
+    coeffs = tuple(map(Fraction, coeffs))
+    m = MoebiusMap(*coeffs)
+    a, b, c, d = coeffs
+    pole = None if c == 0 else -d / c
+    assert m.pole == pole
+    if pole is not None:
+        _assert_canonical(m.pole)
+    expected_points = _plain_fixed_points(coeffs)
+    points = _outcome(fixed_points, m)
+    assert points == expected_points
+    inputs = [Fraction(0), Fraction(-7, 3), 5]
+    if isinstance(points, FixedPoints):
+        inputs += points.points
+        for xi in points.points:
+            _assert_canonical(xi)
+    if pole is not None:
+        inputs += [pole, str(pole)]
+    if data is not None:
+        inputs += data.draw(
+            st.lists(
+                st.one_of(
+                    _coefficient(),
+                    st.integers(-10**30, 10**30),
+                    _coefficient().map(str),
+                ),
+                max_size=3,
+            )
+        )
+    for x in inputs:
+        got = tuple(
+            _outcome(f, x) for f in (m.apply, m.derivative_at, m.check_fixed_point)
+        )
+        assert got == _plain(coeffs, Fraction(x)), x
+        for y in got:
+            if not isinstance(y, tuple):
+                _assert_canonical(y)
 
 
 def test_fixed_points_case_a():

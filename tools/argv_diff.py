@@ -10,7 +10,8 @@ unknown flags, '--flag=value' and '-r6' forms, and values, around a
 command or at random.  The tool prints how many argv differ in exit code,
 in stdout and in stderr, with the first SHOW argv of each kind and the
 SHOW most common first lines of the old side's differing output.  It
-needs only the standard library.
+exits 1 when any exit code or stdout differs; a stderr difference is
+reported but does not fail.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -147,15 +148,18 @@ def main() -> None:
     codes = collections.Counter(str(code) for code, *_ in old)
     print(f"python {sys.version.split()[0]}: {len(argvs)} argv (seed {args.seed}),"
           f" exit codes {dict(sorted(codes.items()))}")
+    failed = False
     for i, part in enumerate(("exit code", "stdout", "stderr")):
         differ = [(argv, a[i]) for argv, a, b in zip(argvs, old, new) if a[i] != b[i]]
         print(f"{part} differs: {len(differ)}")
+        failed |= part != "stderr" and bool(differ)
         for argv, _ in differ[:SHOW]:
             print(f"  {json.dumps(argv)}")
         if part != "exit code":  # the old side's first lines, most common first
             firsts = collections.Counter(a.partition("\n")[0] for _, a in differ)
             for line, n in firsts.most_common(SHOW):
                 print(f"  {n} begin {json.dumps(line)}")
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":
