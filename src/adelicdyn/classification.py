@@ -5,7 +5,8 @@ only at the real place and at the finitely many primes dividing its
 numerator or denominator: its support, which only `padic.norm_support`
 computes.  A fixed point is therefore indifferent at all but a finite,
 computable set of places; the report types here carry that cofinite
-structure explicitly instead of enumerating primes.
+structure instead of enumerating primes.  One multiplier and one support
+serve two distinct fixed points, since f'(xi) f'(xi') = 1 (kinds swapped).
 
 Six closed-form parameter families (tags A..F) each force the fixed points
 to be rational; for a map satisfying a family's constraints,
@@ -131,18 +132,25 @@ def _place_table(
     return AdelicFixedPointReport(xi=xi, real=real, finite_exceptions=tuple(rest))
 
 
+def _multiplier_support(
+    m: MoebiusMap, bound: int
+) -> tuple[tuple[Fraction, ...], Fraction, tuple[tuple[Place, Fraction], ...]]:
+    """The fixed points, the first one's multiplier q and q's `norm_support`."""
+    points = fixed_points(m).points
+    q = m.derivative_at(points[0])
+    return points, q, norm_support(q, bound)
+
+
 def adelic_report(
     m: MoebiusMap, bound: int = DEFAULT_FACTOR_BOUND
 ) -> list[AdelicFixedPointReport]:
     """One report per rational fixed point, ascending by the point.
 
-    For distinct fixed points the multipliers are reciprocal, so the two
-    reports share their exceptional primes with kinds swapped.
+    For distinct fixed points f'(xi) f'(xi') = 1, so one support serves both
+    reports: the same exceptional primes, with kinds swapped.
     """
-    return [
-        _place_table(xi, norm_support(m.derivative_at(xi), bound), 1)
-        for xi in fixed_points(m).points
-    ]
+    points, _, support = _multiplier_support(m, bound)
+    return [_place_table(xi, support, exponent) for xi, exponent in zip(points, (1, -1))]
 
 
 class CaseTag(str, Enum):
@@ -304,24 +312,14 @@ def audit_cofinite_indifference(
 
     The exceptional set is the multiplier's `norm_support` (trial division);
     each sieved prime p is decided by the definition: |q|_p = 1 exactly when
-    p divides neither part of q = f'(xi) in lowest terms.
+    p divides neither part of q = f'(xi) in lowest terms.  A second point's
+    multiplier is 1/q, so one support and one scan serve both points.
     """
-    audits = []
-    for xi in fixed_points(m).points:
-        multiplier = m.derivative_at(xi)
-        exceptional = tuple(v.p for v, _ in norm_support(multiplier, bound)[1:])
-        num, den = multiplier.numerator, multiplier.denominator
-        offenders = []
-        for p in primes_upto(scan_limit):
-            indifferent = num % p != 0 and den % p != 0
-            if indifferent == (p in exceptional):
-                offenders.append(p)
-        audits.append(
-            IndifferenceAudit(
-                xi=xi,
-                scan_limit=scan_limit,
-                exceptional=exceptional,
-                offenders=tuple(offenders),
-            )
-        )
-    return audits
+    points, q, support = _multiplier_support(m, bound)
+    exceptional = tuple(v.p for v, _ in support[1:])
+    num, den = q.numerator, q.denominator
+    offenders = tuple(
+        p for p in primes_upto(scan_limit)
+        if (num % p != 0 and den % p != 0) == (p in exceptional)
+    )
+    return [IndifferenceAudit(xi, scan_limit, exceptional, offenders) for xi in points]

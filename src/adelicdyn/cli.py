@@ -29,10 +29,8 @@ from functools import partial
 
 from .classification import (
     CaseTag,
-    Stability,
     adelic_report,
     audit_cofinite_indifference,
-    classify_at_place,
     case_a_map,
     case_b_map,
     case_c_map,
@@ -73,7 +71,7 @@ from .exact import (
     shown,
 )
 from .moebius import MoebiusMap, cross_ratio, fixed_points, modular_family
-from .padic import Place
+from .padic import Place, place_norm
 
 
 def _prime_and_value(text: str) -> tuple[int, Fraction]:
@@ -249,12 +247,9 @@ def classify(cfg: Namespace, map: MoebiusMap):
 
 
 def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
-    """The attractive fixed point at v if there is one, else the larger."""
+    """The attractive fixed point at v if any, else the larger; f'(xi) f'(xi') = 1."""
     points = fixed_points(m).points
-    for xi in points:
-        if classify_at_place(m, xi, v).kind is Stability.ATTRACTIVE:
-            return xi
-    return max(points)
+    return points[0] if place_norm(m.derivative_at(points[0]), v) < 1 else points[-1]
 
 
 def _orbit_steps(cfg: Namespace, steps: int | None = None) -> int:

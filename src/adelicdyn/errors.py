@@ -41,7 +41,7 @@ class ZeroInput(InputError):
 
 
 class NotPrime(InputError):
-    """A finite place needs a prime; the given integer is not one."""
+    """A finite place needs an integer prime; the given value is not one."""
 
 
 class SingularMap(InputError):

@@ -12,6 +12,7 @@ first: x = p^nu (x_0 + x_1 p + x_2 p^2 + ...).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,7 +30,9 @@ class Place(Value):
     p: int | None
 
     def __init__(self, p: int | None = None):
-        if p is not None and not is_prime(p):
+        if p is not None and not hasattr(type(p), "__index__"):
+            raise NotPrime(f"a finite place needs an integer, got {type(p).__name__}")
+        if p is not None and not is_prime(p := operator.index(p)):
             raise NotPrime(f"{shown(p)} is not a prime, so not a finite place")
         self._set(p)
 

@@ -37,7 +37,7 @@ from adelicdyn.errors import (
 )
 from adelicdyn.exact import DEFAULT_FACTOR_BOUND, MAX_PRIME_SCAN, factorize, primes_upto
 from adelicdyn.moebius import MoebiusMap, fixed_points
-from adelicdyn.padic import Place, REAL, norm_support, padic_norm
+from adelicdyn.padic import Place, REAL, norm_support, padic_norm, place_norm
 from helpers import rand_nonzero, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
@@ -247,10 +247,31 @@ def test_case_constructor_guards():
 
 
 def test_pairing_law():
+    # det-1 maps, the same maps scaled (det a square other than 1), maps of
+    # non-square det and fused maps: every entry of every report is the norm
+    # of its own point's derivative, at each place of that multiplier's support
     rng = random.Random(107)
-    for _ in range(100):
-        m = rand_square_disc_map(rng, height=20)
+    unimodular = [rand_square_disc_map(rng, height=20) for _ in range(100)]
+    scaled = []
+    for m in unimodular:
+        s = rand_nonzero(rng, 20)
+        scaled.append(MoebiusMap(*(s * x for x in m.coefficients())))
+    non_square_det = [MoebiusMap(2, 0, 1, 1), MoebiusMap(3, 0, 1, 1)]
+    while len(non_square_det) < 30:
+        lam, xi, other = (rand_nonzero(rng, 12) for _ in range(3))
+        if lam != 1 and xi != other:  # det = lam (xi - other)^2
+            non_square_det.append(map_with_multiplier(lam, xi, other))
+    fused = [rand_square_disc_map(rng, height=20, fused=True) for _ in range(20)]
+    for m in unimodular + scaled + non_square_det + fused:
         reports = adelic_report(m)
+        assert len(reports) == len(fixed_points(m).points)
+        for report in reports:
+            q = m.derivative_at(report.xi)
+            support = norm_support(q, DEFAULT_FACTOR_BOUND)
+            entries = [
+                (c.place, c.multiplier_norm) for c in (report.real, *report.finite_exceptions)
+            ]
+            assert entries == [(v, place_norm(q, v)) for v, _ in support]
         if len(reports) == 1:
             continue
         first, second = reports
@@ -349,14 +370,14 @@ def test_audit_catches_a_faulty_support(monkeypatch):
 
 def test_audit_proves_no_scanned_prime_again(monkeypatch):
     # the sieve proved every scanned prime; only the exceptional primes are
-    # proved, by `norm_support` (in Place(p) and again in its place norm)
+    # proved, each once, by the Place(p) of the one `norm_support` both
+    # fixed points share (a norm at a Place proves nothing again)
     calls = []
     is_prime = padic.is_prime
     monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
     audits = audit_cofinite_indifference(CASE_A_MAP, 10**5)
-    assert all(audit.ok for audit in audits)
-    assert set(calls) <= {p for audit in audits for p in audit.exceptional}
-    assert len(calls) <= 2 * sum(len(audit.exceptional) for audit in audits)
+    assert len(audits) == 2 and all(audit.ok for audit in audits)
+    assert sorted(calls) == sorted({p for audit in audits for p in audit.exceptional})
 
 
 def test_audit_refuses_a_scan_above_the_cap():

@@ -22,9 +22,12 @@ from hypothesis import strategies as st
 
 from adelicdyn import cli as cli_module
 from adelicdyn import errors
+from adelicdyn.classification import Stability, classify_at_place
 from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
 from adelicdyn.exact import LIMITS, MAX_PRIME_SCAN, int_digit_limit, shown
+from adelicdyn.moebius import MoebiusMap, fixed_points
+from adelicdyn.padic import Place
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, ROOT, _run, run_cli
 
 #: Longer than the interpreter's default int/str conversion limit (4300).
@@ -1032,6 +1035,35 @@ def test_iterate_verdict_matches_spec_example():
     assert doc["xi"] == "0"
     assert {s["dist"] for s in doc["steps"]} == {"1/3"}
     assert doc["verdict"]["kind"] == "sphere_invariant"
+
+
+def first_attractive_else_larger(m, v):
+    """The default xi of `iterate`, by its rule as first written: the first
+    fixed point that attracts at v, else the larger."""
+    points = fixed_points(m).points
+    for xi in points:
+        if classify_at_place(m, xi, v).kind is Stability.ATTRACTIVE:
+            return xi
+    return max(points)
+
+
+@pytest.mark.parametrize(
+    "map_text,place,xi",
+    [
+        ("1/2,0,1,2", "2", "-3/2"),  # the second point attracts
+        ("1/2,0,1,2", "real", "0"),  # the first point attracts
+        ("1/2,0,1,2", "3", "0"),  # both indifferent: the larger
+        ("3,2,-2,-1", "real", "-1"),  # fused
+    ],
+)
+def test_iterate_defaults_xi_to_the_attractive_point(map_text, place, xi):
+    argv = ["iterate", "--map", map_text, "--x0", "1", "--place", place, "--steps", "2"]
+    code, out, err = run_cli(["--format", "json", *argv])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["xi"] == xi
+    m, v = MoebiusMap.from_string(map_text), Place.from_string(place)
+    assert doc["xi"] == str(first_attractive_else_larger(m, v))
 
 
 def test_classify_case_tags_in_output():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelicdyn import padic
-from adelicdyn.classification import adelic_report
+from adelicdyn.classification import adelic_report, audit_cofinite_indifference
 from adelicdyn.dynamics import iterate_at_place, siegel_max_radius, verify_product_formula
 from adelicdyn.errors import (
     FactorizationIncomplete,
@@ -53,10 +53,14 @@ def test_place_construction_and_strings():
             Place.from_string(text)
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, -7])
+@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, -7, 7.0, 43.0, Fraction(43), "7"])
 def test_place_rejects_non_primes(bad):
-    with pytest.raises(NotPrime):
+    # p is read by its __index__: a float, a Fraction or a string is no
+    # integer, whatever its value, and is not called "not a prime"
+    with pytest.raises(NotPrime) as caught:
         Place(bad)
+    if not isinstance(bad, int):
+        assert str(caught.value) == f"a finite place needs an integer, got {type(bad).__name__}"
 
 
 def test_norm_support_puts_real_first():
@@ -317,11 +321,13 @@ def test_each_prime_and_fixed_point_is_proven_once(monkeypatch):
     monkeypatch.setattr(padic, "is_prime", proving)
     monkeypatch.setattr(MoebiusMap, "check_fixed_point", checking)
     # (call, primality proofs, fixed-point checks); a Place proves its
-    # prime once, and a norm at that Place proves nothing again
+    # prime once, and a norm at that Place proves nothing again; both fixed
+    # points of m share one multiplier support, so 2 is proven once
     expected = {
         "place_norm": (lambda: place_norm(12, v), 0, 0),
         "norm_support": (lambda: norm_support(Fraction(-10, 21), 10**6), 4, 0),
-        "adelic_report": (lambda: adelic_report(m), 2, 0),
+        "adelic_report": (lambda: adelic_report(m), 1, 0),
+        "audit_cofinite_indifference": (lambda: audit_cofinite_indifference(m, 50), 1, 0),
         "iterate_at_place": (lambda: iterate_at_place(m, 3, 0, v, max_steps=24), 0, 1),
         "siegel_max_radius": (lambda: siegel_max_radius(m, 0, 3), 1, 1),
         "valuation": (lambda: valuation(12, 3), 1, 0),

@@ -42,8 +42,10 @@ VALID = [
     "classify --map 1,1,1,2",
     "--bit-guard 0 iterate --map 1/2,0,1,2 --x0 1 --place real",
     "--audit-primes 20 classify --map 5/3,4/3,4/3,5/3",
+    "--audit-primes 20 classify --map 3,2,-2,-1",
     "--format json iterate --map 1/2,0,1,2 --x0 3 --place 3 --steps 4",
     "--format csv iterate --map 1/2,0,1,2 --x0 1 --place real",
+    "iterate --map 1/2,0,1,2 --x0 1 --place 2",
     "adele-step --map 1/2,0,1,2 --at 2=1 --real 0 --elsewhere 1",
     "adele-step --map 1/2,0,1,2 --principal 1/6",
     "basin --map 1/2,0,1,2 --xi 0 --place 2 --height 2",
