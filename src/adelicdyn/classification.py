@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CaseMismatch, CIsZero, NotUnimodular, ZeroInput
+from .errors import CaseMismatch, CIsZero, InputError, NotUnimodular, ZeroInput
 from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto, shown
 from .moebius import MoebiusMap, fixed_points, unit_sign
 from .padic import Place, norm_support, place_norm
@@ -191,13 +191,17 @@ def recognize_case(m: MoebiusMap) -> set[CaseTag]:
 
 
 def case_predicted_report(
-    tag: CaseTag, m: MoebiusMap, bound: int = DEFAULT_FACTOR_BOUND
+    tag: CaseTag | str, m: MoebiusMap, bound: int = DEFAULT_FACTOR_BOUND
 ) -> list[AdelicFixedPointReport]:
     """Closed-form report for a recognized family, no derivative evaluated.
 
     Must coincide exactly with `adelic_report`: that equivalence is the
     library's main correctness oracle.
     """
+    try:
+        tag = CaseTag(tag)
+    except ValueError:
+        raise InputError(f"unknown case tag {shown(tag)}") from None
     if tag not in recognize_case(m):
         raise CaseMismatch(f"map does not satisfy the case {tag.value} constraints")
     a, b, c, d = m.coefficients()

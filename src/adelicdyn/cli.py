@@ -215,9 +215,11 @@ def _case_tags(m: MoebiusMap) -> list[str]:
     return sorted(tag.value for tag in recognize_case(m.rescale_to_unit_det()))
 
 
-def _classification_doc(cfg: Namespace, m: MoebiusMap) -> dict:
+def _emit_classification(cfg: Namespace, m: MoebiusMap, **head) -> None:
+    """Classify `m` and write it, after the command's own fields `head`."""
     reports = adelic_report(m, cfg.factor_bound)
     doc = {
+        **head,
         "map": m.to_dict(),
         "det": str(m.det),
         "cases": _case_tags(m),
@@ -229,10 +231,6 @@ def _classification_doc(cfg: Namespace, m: MoebiusMap) -> dict:
             a.to_dict()
             for a in audit_cofinite_indifference(m, cfg.audit_primes, cfg.factor_bound)
         ]
-    return doc
-
-
-def _emit_classification(cfg: Namespace, doc: dict) -> None:
     rows = [
         [report["xi"], entry["place"], entry["kind"], entry["multiplier_norm"]]
         for report in doc["reports"]
@@ -243,7 +241,7 @@ def _emit_classification(cfg: Namespace, doc: dict) -> None:
 
 def classify(cfg: Namespace, map: MoebiusMap):
     """Fixed points and their stability at every place."""
-    _emit_classification(cfg, _classification_doc(cfg, map))
+    _emit_classification(cfg, map)
 
 
 def _default_xi(m: MoebiusMap, v: Place) -> Fraction:
@@ -343,9 +341,7 @@ def product_formula(cfg: Namespace, rational: Fraction):
 def modular(cfg: Namespace, family: int, sign: str, param: int):
     """Construct one of the five integer det-1 families and classify it."""
     m = modular_family(family, 1 if sign == "+" else -1, param)
-    doc = {"family": family, "sign": sign, "param": param}
-    doc.update(_classification_doc(cfg, m))
-    _emit_classification(cfg, doc)
+    _emit_classification(cfg, m, family=family, sign=sign, param=param)
 
 
 _CASE_BUILDERS = {
@@ -368,9 +364,7 @@ def case(cfg: Namespace, tag, a, c, t, sign):
             raise InputError(f"case {tag} {verb} --{name}")
     if sign is not None:
         given["sign"] = 1 if sign == "+" else -1
-    doc = {"tag": tag}
-    doc.update(_classification_doc(cfg, builder(*(given[name] for name in needed))))
-    _emit_classification(cfg, doc)
+    _emit_classification(cfg, builder(*(given[name] for name in needed)), tag=tag)
 
 
 def cross_ratio_cmd(cfg: Namespace, map: MoebiusMap, points: list[Fraction]):

@@ -433,9 +433,7 @@ class AdelePoint(Value):
     ) -> "AdelePoint":
         """An adele from Fraction parts known to hold: every key of `finite`
         a proven prime and `elsewhere` integral at every other prime."""
-        x = object.__new__(cls)
-        x._set(real, MappingProxyType(finite), elsewhere)
-        return x
+        return cls._unchecked(real, MappingProxyType(finite), elsewhere)
 
     def __hash__(self) -> int:
         return hash((self.real, frozenset(self.finite.items()), self.elsewhere))

@@ -15,7 +15,8 @@ hold every resource limit: each flag's default and cap, and the one check
 that refuses a value past the cap.  `Value` is the immutable base of the
 validated value types `MoebiusMap`, `Place` and `AdelePoint`; they are no
 frozen dataclasses because `dataclasses` imports `inspect`, `ast` and
-`dis`, which would lengthen every start of the CLI.
+`dis`, which would lengthen every start of the CLI.  `Value._unchecked` is
+the one path past a constructor's checks; a pickle or a copy is checked.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class Value:
     `_set`; after that, setting or deleting an attribute raises
     AttributeError.  Two values are equal, and hash alike, when they are
     of the same class and their fields are equal; a value never equals a
-    tuple.  A copy or a pickle is rebuilt through the constructor, which
+    tuple.  `_unchecked` is the one path that skips the checks; a copy or
+    a pickle, of its values too, is rebuilt through the constructor, which
     takes the fields in slot order.
     """
 
@@ -70,6 +72,13 @@ class Value:
     def _set(self, *fields) -> None:
         for set_field, x in zip(self._setters, fields):
             set_field(self, x)
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        """A value of `fields`, which the caller has proven pass the checks."""
+        x = object.__new__(cls)
+        x._set(*fields)
+        return x
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -58,17 +58,6 @@ class MoebiusMap(Value):
         return cls(1, 0, 0, 1)
 
     @classmethod
-    def _nonsingular(cls, *entries: Fraction) -> "MoebiusMap":
-        """A map from Fraction entries whose det is known to be nonzero.
-
-        Products and powers of maps have det = the product of the dets, so
-        they skip the ad - bc check, whose gcds dominate on large entries.
-        """
-        m = object.__new__(cls)
-        m._set(*entries)
-        return m
-
-    @classmethod
     def from_string(cls, text: str) -> "MoebiusMap":
         """Parse the 'a,b,c,d' comma syntax used on the command line."""
         return cls(*parse_rationals(text, 4))
@@ -80,10 +69,7 @@ class MoebiusMap(Value):
     @property
     def pole(self) -> Fraction | None:
         """The input where the map blows up; None for affine maps (c = 0)."""
-        if self.c == 0:
-            return None
-        _, _, c, d = self._matrix()
-        return Fraction(-d, c)
+        return None if self.c == 0 else -self.d / self.c
 
     def _matrix(self) -> tuple[int, int, int, int]:
         """(A, B, C, D): the coefficients times the lcm of their denominators."""
@@ -140,8 +126,9 @@ class MoebiusMap(Value):
         return coprime_fraction(num // g, den // g)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Matrix product: self.compose(other)(x) == self(other(x))."""
-        return MoebiusMap._nonsingular(
+        """Matrix product: self.compose(other)(x) == self(other(x)).  Its det,
+        the product of the dets, is nonzero: it skips the ad - bc check."""
+        return MoebiusMap._unchecked(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -166,7 +153,8 @@ class MoebiusMap(Value):
         powered by repeated squaring.  At n = 0 each way gives I:
         (l1 - l2) I / r, l^-1 l I (det = l^2 != 0), and no squaring.
         Negative n powers the adjugate det M^-1, so power(-n) acts as f^-n
-        but its coefficients are det^n M^-n, not those of M^-n.
+        but its coefficients are det^n M^-n, not those of M^-n.  det M^n =
+        (det M)^n != 0, so the closed form skips the ad - bc check too.
         """
         if n < 0:
             return self.inverse().power(-n)
@@ -176,12 +164,12 @@ class MoebiusMap(Value):
             half_trace = (self.a + self.d) / 2
             if root == 0:
                 scale = half_trace ** (n - 1)
-                return MoebiusMap._nonsingular(
+                return MoebiusMap._unchecked(
                     *(scale * (n * x - (n - 1) * half_trace * e) for x, e in entries)
                 )
             l1, l2 = half_trace + root / 2, half_trace - root / 2
             p1, p2 = l1**n, l2**n
-            return MoebiusMap._nonsingular(
+            return MoebiusMap._unchecked(
                 *((p1 * (x - l2 * e) - p2 * (x - l1 * e)) / root for x, e in entries)
             )
         result = MoebiusMap.identity()

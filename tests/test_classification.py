@@ -175,11 +175,15 @@ def test_predicted_report_matches_computed_on_fixtures():
         computed = adelic_report(m)
         for tag in recognize_case(m):
             assert case_predicted_report(tag, m) == computed
+            assert case_predicted_report(tag.value, m) == computed
 
 
 def test_predicted_report_case_mismatch():
-    with pytest.raises(CaseMismatch):
-        case_predicted_report(CaseTag.B, CASE_A_MAP)
+    for tag in (CaseTag.B, "B"):
+        with pytest.raises(CaseMismatch):
+            case_predicted_report(tag, CASE_A_MAP)
+    with pytest.raises(InputError, match="unknown case tag 'G'"):
+        case_predicted_report("G", CASE_A_MAP)
 
 
 def test_predicted_report_factors_q_once(monkeypatch):

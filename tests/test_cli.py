@@ -239,6 +239,36 @@ def test_classify_lists_no_case_for_a_non_square_det():
 
 
 @pytest.mark.parametrize(
+    "line",
+    [
+        "modular --family 1 --c 3",
+        "modular --family 5 --sign - --c 2",
+        "case --tag A --a 2 --c 1",
+        "case --tag C --sign - --c 2",
+        "case --tag E --a 2 --c 1",
+    ],
+)
+def test_an_audited_family_classifies_as_its_map(line):
+    # modular and case write classify's document of their map, after
+    # their own fields, and classify's rows
+    args = line.split()
+    own = {"family", "sign", "param"} if args[0] == "modular" else {"tag"}
+    audit = ["--audit-primes", "30"]
+    code, out, err = _main_in_process([*audit, "--format", "json", *args])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert own <= doc.keys() and doc["audit"]
+    entries = ",".join(doc["map"][name] for name in "abcd")
+    classify = [*audit, "classify", "--map", entries]
+    assert {k: v for k, v in doc.items() if k not in own} == json.loads(
+        _main_in_process(["--format", "json", *classify])[1]
+    )
+    for fmt in ("csv", "table"):
+        result = _main_in_process([*audit, "--format", fmt, *args])
+        assert result == _main_in_process(["--format", fmt, *classify])
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--principal", "1", "--real", "1"], ["--real", "1"]],
     ids=["principal-and-real", "no-elsewhere"],

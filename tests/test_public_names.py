@@ -60,7 +60,15 @@ def test_records_are_named_tuples_and_value_types_are_validated_values():
         cls = getattr(adelicdyn, name)
         assert issubclass(cls, tuple) and cls._fields, name
     m = adelicdyn.MoebiusMap(1, 2, 3, 4)
-    values = [m, adelicdyn.Place(3), adelicdyn.principal_adele(Fraction(1, 6))]
+    values = [
+        m, adelicdyn.Place(3), adelicdyn.principal_adele(Fraction(1, 6)),
+        # built unchecked: the closed-form power, with distinct and fused
+        # eigenvalues, a power by repeated squaring (discriminant 5) and a step
+        adelicdyn.MoebiusMap(2, 0, 1, 1).power(5),
+        adelicdyn.MoebiusMap(3, 2, -2, -1).power(5),
+        adelicdyn.MoebiusMap(2, 1, 1, 1).power(5),
+        adelicdyn.step_adele(m, adelicdyn.principal_adele(Fraction(1, 6))),
+    ]
     for value in values:
         assert not isinstance(value, tuple), value
         for name in value.__slots__:

@@ -51,7 +51,9 @@ VALID = [
     "basin --map 1/2,0,1,2 --xi 0 --place 2 --height 2",
     "product-formula -r -10/21",
     "modular --family 5 --sign - --c 2",
+    "--audit-primes 20 --format csv modular --family 1 --c 3",
     "case --tag E --a 2 --c 1",
+    "--audit-primes 20 --format table case --tag A --a 2 --c 1",
     "cross-ratio --map 1/2,0,1,2 --points 0,1,3,4",
 ]
 
