@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CaseMismatch, CIsZero, InputError, NotUnimodular, ZeroInput
-from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto, shown
+from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto, rational, shown
 from .moebius import MoebiusMap, fixed_points, unit_sign
 from .padic import Place, norm_support, place_norm
 
@@ -81,7 +81,7 @@ def exceptional_primes(
     q: RationalLike, bound: int = DEFAULT_FACTOR_BOUND
 ) -> ExceptionalSets:
     """The primes of q's `norm_support`, split by |q|_p < 1 and |q|_p > 1."""
-    q = Fraction(q)
+    q = rational(q)
     finite = norm_support(q, bound)[1:]
     return ExceptionalSets(
         generator=q,
@@ -150,6 +150,10 @@ def adelic_report(
     reports: the same exceptional primes, with kinds swapped.
     """
     points, _, support = _multiplier_support(m, bound)
+    return _reports(points, support)
+
+
+def _reports(points, support) -> list[AdelicFixedPointReport]:
     return [_place_table(xi, support, exponent) for xi, exponent in zip(points, (1, -1))]
 
 
@@ -229,7 +233,7 @@ def case_predicted_report(
 
 def case_a_map(a: RationalLike, c: RationalLike) -> MoebiusMap:
     """b = 0, d = 1/a; needs a != 0 and c != 0."""
-    a, c = Fraction(a), Fraction(c)
+    a, c = rational(a), rational(c)
     if a == 0:
         raise ZeroInput("case A needs a != 0 (d = 1/a)")
     if c == 0:
@@ -239,7 +243,7 @@ def case_a_map(a: RationalLike, c: RationalLike) -> MoebiusMap:
 
 def case_b_map(t: RationalLike) -> MoebiusMap:
     """a = (t + 1/t)/2, b = c = (t - 1/t)/2, d = a; needs t not in {0, 1, -1}."""
-    t = Fraction(t)
+    t = rational(t)
     if t == 0:
         raise ZeroInput("case B parameter t must be nonzero")
     if t in (1, -1):
@@ -265,20 +269,20 @@ def case_d_map(sign: int, c: RationalLike) -> MoebiusMap:
 
 def case_e_map(a: RationalLike, c: RationalLike) -> MoebiusMap:
     """b = -(a - 1)^2/c, d = 2 - a; needs c != 0."""
-    a = Fraction(a)
+    a = rational(a)
     c = _nonzero_c(c)
     return MoebiusMap(a, -((a - 1) ** 2) / c, c, 2 - a)
 
 
 def case_f_map(a: RationalLike, c: RationalLike) -> MoebiusMap:
     """b = -(a + 1)^2/c, d = -a - 2; needs c != 0."""
-    a = Fraction(a)
+    a = rational(a)
     c = _nonzero_c(c)
     return MoebiusMap(a, -((a + 1) ** 2) / c, c, -a - 2)
 
 
 def _nonzero_c(c: RationalLike) -> Fraction:
-    c = Fraction(c)
+    c = rational(c)
     if c == 0:
         raise CIsZero("family constructors need c != 0")
     return c
@@ -319,7 +323,10 @@ def audit_cofinite_indifference(
     p divides neither part of q = f'(xi) in lowest terms.  A second point's
     multiplier is 1/q, so one support and one scan serve both points.
     """
-    points, q, support = _multiplier_support(m, bound)
+    return _audit(*_multiplier_support(m, bound), scan_limit)
+
+
+def _audit(points, q, support, scan_limit: int) -> list[IndifferenceAudit]:
     exceptional = tuple(v.p for v, _ in support[1:])
     num, den = q.numerator, q.denominator
     offenders = tuple(

@@ -29,8 +29,9 @@ from functools import partial
 
 from .classification import (
     CaseTag,
-    adelic_report,
-    audit_cofinite_indifference,
+    _audit,
+    _multiplier_support,
+    _reports,
     case_a_map,
     case_b_map,
     case_c_map,
@@ -70,7 +71,7 @@ from .exact import (
     parse_rationals,
     shown,
 )
-from .moebius import MoebiusMap, cross_ratio, fixed_points, modular_family
+from .moebius import FixedPoints, MoebiusMap, cross_ratio, fixed_points, modular_family
 from .padic import Place, place_norm
 
 
@@ -216,21 +217,18 @@ def _case_tags(m: MoebiusMap) -> list[str]:
 
 
 def _emit_classification(cfg: Namespace, m: MoebiusMap, **head) -> None:
-    """Classify `m` and write it, after the command's own fields `head`."""
-    reports = adelic_report(m, cfg.factor_bound)
+    """Classify `m`, reports and audit from one support, and write it after `head`."""
+    points, q, support = _multiplier_support(m, cfg.factor_bound)
     doc = {
         **head,
         "map": m.to_dict(),
         "det": str(m.det),
         "cases": _case_tags(m),
-        "fixed_points": fixed_points(m).to_dict(),
-        "reports": [r.to_dict() for r in reports],
+        "fixed_points": FixedPoints(points).to_dict(),
+        "reports": [r.to_dict() for r in _reports(points, support)],
     }
     if cfg.audit_primes is not None:
-        doc["audit"] = [
-            a.to_dict()
-            for a in audit_cofinite_indifference(m, cfg.audit_primes, cfg.factor_bound)
-        ]
+        doc["audit"] = [a.to_dict() for a in _audit(points, q, support, cfg.audit_primes)]
     rows = [
         [report["xi"], entry["place"], entry["kind"], entry["multiplier_norm"]]
         for report in doc["reports"]

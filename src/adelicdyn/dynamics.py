@@ -40,6 +40,8 @@ from .exact import (
     Value,
     coprime_fraction,
     factorize,
+    prime_power,
+    rational,
     shown,
     strip_prime,
 )
@@ -105,7 +107,7 @@ def iterate_at_place(
     raises ResourceLimitError.  At the default every recorded value prints.
     x0 is read, xi checked, and the orbit run once by `_orbit_kernel`.
     """
-    x0, xi = Fraction(x0), m.check_fixed_point(xi)
+    x0, xi = rational(x0), m.check_fixed_point(xi)
     xs, dists, terminated = _orbit_kernel(m, xi, v, max_steps, bit_guard, True)(x0)
     return TrajectoryRecord(v, xi, tuple(map(Step, range(len(xs)), xs, dists)), terminated)
 
@@ -160,7 +162,7 @@ def _orbit_kernel(
                 nu -= 1
             norm = norms.get(nu)
             if norm is None:
-                norm = norms[nu] = Fraction(p) ** -nu
+                norm = norms[nu] = prime_power(p, -nu)
             return norm, -nu
 
     # dist has at most xi's bits + 1 more bits than x (its parts divide
@@ -323,7 +325,7 @@ def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
     Defined only where xi is indifferent; equals the linearization radius,
     since there |f(x) - xi|_p = |x - xi|_p exactly.
     """
-    xi = Fraction(xi)
+    xi = rational(xi)
     cls = classify_at_place(m, xi, Place(p))
     if cls.kind is not Stability.INDIFFERENT:
         raise NotIndifferent(
@@ -387,7 +389,7 @@ def admissible_bound(
         raise CIsZero("the admissibility bound assumes c != 0")
     if m.d == 0:
         raise ZeroInput("the admissibility bound assumes d != 0")
-    x0 = Fraction(x0)
+    x0 = rational(x0)
     image = m.apply(x0)
     primes = set(factorize(x0.denominator, bound).primes())
     primes.update(factorize(image.denominator, bound).primes())
@@ -412,8 +414,8 @@ class AdelePoint(Value):
     def __init__(
         self, real: RationalLike, finite: dict[int, RationalLike], elsewhere: RationalLike
     ):
-        real, elsewhere = Fraction(real), Fraction(elsewhere)
-        finite = {p: Fraction(x) for p, x in finite.items()}
+        real, elsewhere = rational(real), rational(elsewhere)
+        finite = {p: rational(x) for p, x in finite.items()}
         # strip the listed primes from the tail denominator; whatever is
         # left is made of unlisted primes where the tail is not integral
         rest = elsewhere.denominator
@@ -464,7 +466,7 @@ def principal_adele(r: RationalLike, bound: int = DEFAULT_FACTOR_BOUND) -> Adele
 
     Its primes are those `factorize` proved, and are not proven again.
     """
-    r = Fraction(r)
+    r = rational(r)
     listed = factorize(r.denominator, bound).primes()
     return AdelePoint._proven(r, {p: r for p in listed}, r)
 
@@ -543,7 +545,7 @@ def verify_product_formula(
 ) -> ProductFormulaReport:
     """Evidence that |r|_inf * prod_p |r|_p = 1: the factor at every place
     of r's support (`norm_support`), and their exact product."""
-    r = Fraction(r)
+    r = rational(r)
     return ProductFormulaReport(r=r, factors=norm_support(r, bound))
 
 

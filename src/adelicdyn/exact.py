@@ -9,12 +9,14 @@ instead of mis-factoring, and the rational perfect-square test that gates
 rational fixed points.  It is the one home of the integer routines:
 `strip_prime` divides out a prime, `_trial_division` is the only
 trial-division loop, and primality below MR_LIMIT is the strong test to
-the 13 prime bases 2 ... 41, proven correct there.  `shown` is the one
-rule for showing a value in an error message, and the `Limit` rows below
-hold every resource limit: each flag's default and cap, and the one check
-that refuses a value past the cap.  `Value` is the immutable base of the
-validated value types `MoebiusMap`, `Place` and `AdelePoint`; they are no
-frozen dataclasses because `dataclasses` imports `inspect`, `ast` and
+the 13 prime bases 2 ... 41, proven correct there.  `rational` is the one
+coercion of a `RationalLike`, and `coprime_fraction` the one builder of a
+Fraction without a gcd (`prime_power` builds p^k with it).  `shown` is the
+one rule for showing a value in an error message, and the `Limit` rows
+below hold every resource limit: each flag's default and cap, and the one
+check that refuses a value past the cap.  `Value` is the immutable base of
+the validated value types `MoebiusMap`, `Place` and `AdelePoint`; they are
+no frozen dataclasses because `dataclasses` imports `inspect`, `ast` and
 `dis`, which would lengthen every start of the CLI.  `Value._unchecked` is
 the one path past a constructor's checks; a pickle or a copy is checked.
 """
@@ -39,7 +41,7 @@ from .errors import (
     ZeroInput,
 )
 
-#: Values accepted wherever a rational is expected; coerced via Fraction().
+#: Values accepted wherever a rational is expected; coerced by `rational`.
 RationalLike = Fraction | int | str
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -52,22 +54,23 @@ QUOTE_CHARS = 32
 class Value:
     """An immutable value whose fields are its class's `__slots__`.
 
-    The constructor checks its input and sets each field once with
-    `_set`; after that, setting or deleting an attribute raises
-    AttributeError.  Two values are equal, and hash alike, when they are
-    of the same class and their fields are equal; a value never equals a
-    tuple.  `_unchecked` is the one path that skips the checks; a copy or
-    a pickle, of its values too, is rebuilt through the constructor, which
-    takes the fields in slot order.
+    The constructor checks its input and sets each field once with `_set`;
+    after that, setting or deleting an attribute raises AttributeError.  A
+    slot whose name starts with `_` is a cache, not a field.  Two values are
+    equal, and hash alike, when they are of the same class and their fields
+    are equal; a value never equals a tuple.  `_unchecked` is the one path
+    that skips the checks; a copy or a pickle, of its values too, is rebuilt
+    through the constructor, which takes the fields in slot order.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # the slots' own getter and setters: a generic getattr loop would
+        # the fields' own getter and setters: a generic getattr loop would
         # make `==` several times slower than a dataclass's
-        cls._get = attrgetter(*cls.__slots__)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._get = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _set(self, *fields) -> None:
         for set_field, x in zip(self._setters, fields):
@@ -89,11 +92,11 @@ class Value:
         return hash(self._get(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -117,6 +120,16 @@ def coprime_fraction(num: int, den: int) -> Fraction:
     x._numerator = num
     x._denominator = den
     return x
+
+
+def prime_power(p: int, k: int) -> Fraction:
+    """p**k for an integer p >= 2: p**k over 1, or 1 over p**-k, is coprime."""
+    return coprime_fraction(p**k, 1) if k >= 0 else coprime_fraction(1, p**-k)
+
+
+def rational(x: RationalLike) -> Fraction:
+    """x as a Fraction: x itself if it is one (not a subclass), else Fraction(x)."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def shown(value: RationalLike) -> str:
@@ -396,7 +409,7 @@ def is_perfect_square(r: RationalLike) -> Fraction | None:
     In lowest terms a rational is a square exactly when numerator and
     denominator both are, so two integer square roots decide it.
     """
-    r = Fraction(r)
+    r = rational(r)
     if r < 0:
         return None
     num_root = math.isqrt(r.numerator)

@@ -9,14 +9,14 @@ kept exactly as constructed (no silent normalization);
 `rescale_to_unit_det` is the explicit route to det = 1.
 
 Pointwise work reads the map's cleared integer matrix (A, B, C, D), the
-coefficients times the lcm of their denominators, which is the same map.
-At x = n/q in lowest terms, f(x) = (An + Bq)/(Cn + Dq), whose parts have
-a gcd dividing det = AD - BC, and f'(x) = det q^2/(Cn + Dq)^2.  Each is
-reduced once, at the end, where a chain of Fraction operations takes
-gcds at every step; apply takes its gcd against det, where any common
-factor must lie (the idea of Henrici's rule, Knuth TAOCP vol. 2, 4.5.1).
-The pole is Cn + Dq = 0, and the fixed points come from one integer
-square root of (A - D)^2 + 4BC.
+coefficients times the lcm of their denominators: the same map, cleared
+once and kept.  At x = n/q in lowest terms, f(x) = (An + Bq)/(Cn + Dq),
+whose parts have a gcd dividing det = AD - BC, and f'(x) =
+det q^2/(Cn + Dq)^2.  Each is reduced once, at the end, where a chain of
+Fraction operations takes gcds at every step; apply takes its gcd
+against det, where any common factor must lie (the idea of Henrici's
+rule, Knuth TAOCP vol. 2, 4.5.1).  The pole is Cn + Dq = 0, and the
+fixed points come from one integer square root of (A - D)^2 + 4BC.
 """
 
 from __future__ import annotations
@@ -35,20 +35,22 @@ from .errors import (
     PoleInput,
     SingularMap,
 )
-from .exact import RationalLike, Value, coprime_fraction, is_perfect_square, parse_rationals, shown
+from .exact import (
+    RationalLike, Value, coprime_fraction, is_perfect_square, parse_rationals, rational, shown,
+)
 
 
 class MoebiusMap(Value):
     """Coefficients (a, b, c, d) with ad - bc != 0."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d", "_cleared")
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
     def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike):
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        a, b, c, d = rational(a), rational(b), rational(c), rational(d)
         if a * d - b * c == 0:
             raise SingularMap("ad - bc = 0")
         self._set(a, b, c, d)
@@ -72,22 +74,22 @@ class MoebiusMap(Value):
         return None if self.c == 0 else -self.d / self.c
 
     def _matrix(self) -> tuple[int, int, int, int]:
-        """(A, B, C, D): the coefficients times the lcm of their denominators."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        s = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        return (
-            a.numerator * (s // a.denominator),
-            b.numerator * (s // b.denominator),
-            c.numerator * (s // c.denominator),
-            d.numerator * (s // d.denominator),
-        )
+        """(A, B, C, D): the coefficients times their denominators' lcm, kept."""
+        try:
+            return self._cleared
+        except AttributeError:  # the first call
+            xs = self.a, self.b, self.c, self.d
+            s = math.lcm(*(x.denominator for x in xs))
+            cleared = tuple(x.numerator * (s // x.denominator) for x in xs)
+            MoebiusMap._cleared.__set__(self, cleared)
+            return cleared
 
     def apply(self, x: RationalLike) -> Fraction:
         """(An + Bq)/(Cn + Dq) at x = n/q.  The adjugate maps that pair to
         det (n, q), so its gcd divides det = AD - BC: it is
         gcd(gcd(An + Bq, det), Cn + Dq), one gcd against det and, only
         when that is not 1, a second."""
-        x = Fraction(x)
+        x = rational(x)
         a, b, c, d = self._matrix()
         n, q = x.numerator, x.denominator
         den = c * n + d * q
@@ -104,7 +106,7 @@ class MoebiusMap(Value):
 
     def check_fixed_point(self, xi: RationalLike) -> Fraction:
         """xi as a Fraction; NotAFixedPoint unless the map fixes it."""
-        xi = Fraction(xi)
+        xi = rational(xi)
         if self.apply(xi) != xi:
             raise NotAFixedPoint(f"{shown(xi)} is not fixed by the map")
         return xi
@@ -115,7 +117,7 @@ class MoebiusMap(Value):
     def derivative_at(self, x: RationalLike) -> Fraction:
         """(ad - bc)/(cx + d)^2, exactly: (AD - BC) q^2/(Cn + Dq)^2 at
         x = n/q, reduced by one gcd."""
-        x = Fraction(x)
+        x = rational(x)
         a, b, c, d = self._matrix()
         n, q = x.numerator, x.denominator
         den = c * n + d * q
@@ -251,7 +253,7 @@ def cross_ratio(
     x1: RationalLike, x2: RationalLike, x3: RationalLike, x4: RationalLike
 ) -> Fraction:
     """((x1 - x3)(x2 - x4)) / ((x1 - x4)(x2 - x3)), exact."""
-    x1, x2, x3, x4 = (Fraction(x) for x in (x1, x2, x3, x4))
+    x1, x2, x3, x4 = map(rational, (x1, x2, x3, x4))
     den = (x1 - x4) * (x2 - x3)
     if den == 0:
         raise DegeneratePoints("cross-ratio needs x1 != x4 and x2 != x3")
@@ -274,7 +276,7 @@ def modular_family(k: int, sign: int, param: int) -> MoebiusMap:
     if k not in (1, 2, 3, 4, 5):
         raise InputError(f"family index must be 1..5, got {shown(k)}")
     s = unit_sign(sign)
-    t = Fraction(param)
+    t = rational(param)
     if t.denominator != 1:
         raise InputError(f"family parameter must be an integer, got {shown(t)}")
     t = t.numerator

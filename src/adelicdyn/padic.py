@@ -17,7 +17,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotPrime, ZeroInput
-from .exact import RationalLike, Value, factorize, is_prime, parse_integer, shown, strip_prime
+from .exact import (
+    RationalLike, Value, factorize, is_prime, parse_integer, prime_power, rational, shown,
+    strip_prime,
+)
 
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
@@ -62,7 +65,7 @@ def _exponent(p: int, r: Fraction) -> int | float:
 
 def valuation(r: RationalLike, p: int) -> int | float:
     """Exponent of p in r (so r = p^nu * unit); INFINITE for r = 0."""
-    return _exponent(Place(p).p, Fraction(r))
+    return _exponent(Place(p).p, rational(r))
 
 
 def padic_norm(r: RationalLike, p: int) -> Fraction:
@@ -73,16 +76,16 @@ def padic_norm(r: RationalLike, p: int) -> Fraction:
 def place_norm(r: RationalLike, v: Place) -> Fraction:
     """|r|_v: plain absolute value at the real place, p-adic norm otherwise."""
     if v.is_real:
-        return abs(Fraction(r))
-    nu = _exponent(v.p, Fraction(r))
-    return Fraction(0) if nu == INFINITE else Fraction(v.p) ** -nu
+        return abs(rational(r))
+    nu = _exponent(v.p, rational(r))
+    return Fraction(0) if nu == INFINITE else prime_power(v.p, -nu)
 
 
 def norm_support(r: RationalLike, bound: int) -> tuple[tuple[Place, Fraction], ...]:
     """(v, |r|_v) at the real place, then at each prime of r's numerator or
     denominator, ascending; |r|_p = 1 at every other prime.  Raises
     ZeroInput for r = 0 and FactorizationIncomplete beyond `bound`."""
-    r = Fraction(r)
+    r = rational(r)
     primes = factorize(r.numerator, bound).primes()  # ZeroInput for r = 0
     primes += factorize(r.denominator, bound).primes()
     places = (REAL, *(Place(p) for p in sorted(primes)))
@@ -91,12 +94,12 @@ def norm_support(r: RationalLike, bound: int) -> tuple[tuple[Place, Fraction], .
 
 def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:
     """Ultrametric distance |x - y|_p."""
-    return padic_norm(Fraction(x) - Fraction(y), p)
+    return padic_norm(rational(x) - rational(y), p)
 
 
 def ball_contains(center: RationalLike, mu: int, x: RationalLike, p: int) -> bool:
     """Whether x lies in the ball {y : |y - center|_p <= p^mu}."""
-    return padic_distance(x, center, p) <= Fraction(p) ** mu
+    return padic_distance(x, center, p) <= prime_power(p, mu)
 
 
 class PAdicExpansion(NamedTuple):
@@ -108,7 +111,7 @@ class PAdicExpansion(NamedTuple):
 
     def partial_sum(self) -> Fraction:
         total = sum(x * self.p**k for k, x in enumerate(self.digits))
-        return Fraction(self.p) ** self.nu * total
+        return prime_power(self.p, self.nu) * total
 
     def to_dict(self) -> dict:
         return {"p": self.p, "nu": self.nu, "digits": list(self.digits)}
@@ -121,13 +124,13 @@ def padic_expansion(r: RationalLike, p: int, n_digits: int) -> PAdicExpansion:
     denominator); the remainder after subtracting it is divisible by p, so
     the partial sum agrees with r to within p^-(nu + n_digits).
     """
-    r = Fraction(r)
+    r = rational(r)
     if r == 0:
         raise ZeroInput("0 has no valuation, hence no canonical expansion")
     if n_digits < 1:
         raise InputError(f"need at least one digit, got {shown(n_digits)}")
     nu = valuation(r, p)
-    unit = r / Fraction(p) ** nu
+    unit = r / prime_power(p, nu)
     digits = []
     for _ in range(n_digits):
         digit = unit.numerator * pow(unit.denominator, -1, p) % p

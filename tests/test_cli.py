@@ -268,6 +268,28 @@ def test_an_audited_family_classifies_as_its_map(line):
         assert result == _main_in_process(["--format", fmt, *classify])
 
 
+def test_an_audited_classify_factors_the_multiplier_once(monkeypatch):
+    # the reports, the fixed points and the audit share one multiplier and
+    # its support, wherever either function is looked up
+    from adelicdyn import classification, dynamics, moebius, padic
+
+    calls = collections.Counter()
+    for module, name in [(padic, "norm_support"), (moebius, "fixed_points")]:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for namespace in (classification, cli_module, dynamics, moebius, padic):
+            if getattr(namespace, name, None) is original:
+                monkeypatch.setattr(namespace, name, counted)
+    argv = ["--audit-primes", "30", "--format", "json", "classify", "--map", "1/2,0,1,2"]
+    code, out, err = _main_in_process(argv)
+    assert code == 0 and json.loads(out)["audit"], err
+    assert calls == {"norm_support": 1, "fixed_points": 1}
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--principal", "1", "--real", "1"], ["--real", "1"]],

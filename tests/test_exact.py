@@ -35,6 +35,7 @@ from adelicdyn.exact import (
     parse_rational,
     parse_rationals,
     primes_upto,
+    rational,
     shown,
     strip_prime,
 )
@@ -57,6 +58,20 @@ def test_normalize_coprime_passthrough():
 def test_normalize_rejects_zero_denominator():
     with pytest.raises(ZeroDenominator):
         normalize(3, 0)
+
+
+def test_rational_coerces_only_what_is_no_fraction():
+    # a Fraction is returned as it is; a subclass is re-wrapped, so every
+    # value the library keeps is a plain Fraction
+    class Sub(Fraction):
+        pass
+
+    q = Fraction(3, 4)
+    assert rational(q) is q
+    sub = Sub(3, 4)
+    assert type(rational(sub)) is Fraction and rational(sub) == q
+    assert rational("3/4") == Fraction(3, 4) and type(rational("3/4")) is Fraction
+    assert type(rational(7)) is Fraction and rational(7) == 7
 
 
 def test_canonical_form_is_unique():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelicdyn import padic
@@ -287,6 +287,30 @@ def test_valuation_and_norms_match_sympy(p, num, den, sign, e_num, e_den):
     nu = sympy.multiplicity(p, abs(r.numerator)) - sympy.multiplicity(p, r.denominator)
     assert valuation(r, p) == nu
     assert padic_norm(r, p) == place_norm(r, Place(p)) == Fraction(p) ** -nu
+
+
+class _Sub(Fraction):
+    pass
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    num=st.integers(0, 10**6),
+    den=st.integers(1, 10**6),
+    sign=st.sampled_from((1, -1)),
+    shift=st.integers(-6, 6),
+    kind=st.sampled_from((Fraction, _Sub, str)),
+)
+@example(p=2, num=0, den=1, sign=1, shift=0, kind=str)
+def test_norms_are_canonical_fractions(p, num, den, sign, shift, kind):
+    # p^shift gives valuations of either sign; the argument is a Fraction,
+    # a Fraction subclass or text, and each norm a canonical plain Fraction
+    r = Fraction(sign * num, den) * Fraction(p) ** shift
+    expected = Fraction(0) if r == 0 else Fraction(p) ** -valuation(r, p)
+    for norm in (place_norm(kind(r), Place(p)), padic_norm(kind(r), p)):
+        assert type(norm) is Fraction and norm == expected
+        assert norm.denominator > 0 and math.gcd(norm.numerator, norm.denominator) == 1
 
 
 @pytest.mark.parametrize("p", COMPOSITES)

@@ -1,5 +1,6 @@
 """Names that code outside the library reaches for by string exist."""
 
+import copy
 import dataclasses
 import importlib
 import importlib.util
@@ -60,6 +61,7 @@ def test_records_are_named_tuples_and_value_types_are_validated_values():
         cls = getattr(adelicdyn, name)
         assert issubclass(cls, tuple) and cls._fields, name
     m = adelicdyn.MoebiusMap(1, 2, 3, 4)
+    uncached_bytes, uncached_repr = pickle.dumps(m), repr(m)
     values = [
         m, adelicdyn.Place(3), adelicdyn.principal_adele(Fraction(1, 6)),
         # built unchecked: the closed-form power, with distinct and fused
@@ -83,6 +85,18 @@ def test_records_are_named_tuples_and_value_types_are_validated_values():
                 with pytest.raises(TypeError):
                     point.finite[4] = Fraction(1)
                 assert point.listed_primes() == (2, 3)
+    # the slot `_cleared` is a cache, not a field: once `_matrix` has filled
+    # it, the map compares, hashes, prints, pickles and copies as before,
+    # and the cache still refuses writes
+    assert m._matrix() is m._cleared
+    uncached = adelicdyn.MoebiusMap(*m.coefficients())
+    assert m == uncached and hash(m) == hash(uncached)
+    assert repr(m) == uncached_repr and pickle.dumps(m) == uncached_bytes
+    assert copy.copy(m) == m and copy.deepcopy(m) == m
+    with pytest.raises(AttributeError):
+        setattr(m, "_cleared", (1, 2, 3, 4))
+    with pytest.raises(AttributeError):
+        delattr(m, "_cleared")
     for build, error in [
         (lambda: adelicdyn.MoebiusMap(1, 2, 2, 4), errors.SingularMap),
         (lambda: adelicdyn.Place(4), errors.NotPrime),

@@ -43,6 +43,7 @@ VALID = [
     "--bit-guard 0 iterate --map 1/2,0,1,2 --x0 1 --place real",
     "--audit-primes 20 classify --map 5/3,4/3,4/3,5/3",
     "--audit-primes 20 classify --map 3,2,-2,-1",
+    "--audit-primes 20 classify --map 199999849999973,0,199999849999972,1",
     "--format json iterate --map 1/2,0,1,2 --x0 3 --place 3 --steps 4",
     "--format csv iterate --map 1/2,0,1,2 --x0 1 --place real",
     "iterate --map 1/2,0,1,2 --x0 1 --place 2",
