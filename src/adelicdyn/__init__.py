@@ -5,140 +5,17 @@ exact arithmetic; their rational fixed points are classified as attractive,
 repelling or indifferent simultaneously at the real place and at every
 p-adic place, with the finitely many non-indifferent primes computed
 explicitly.
+
+Each module declares its public names once, in its `__all__`; the package
+republishes the union of those lists.
 """
 
-from .classification import (
-    AdelicFixedPointReport,
-    CaseTag,
-    ExceptionalSets,
-    IndifferenceAudit,
-    PlaceClassification,
-    Stability,
-    adelic_report,
-    audit_cofinite_indifference,
-    case_a_map,
-    case_b_map,
-    case_c_map,
-    case_d_map,
-    case_e_map,
-    case_f_map,
-    case_predicted_report,
-    classify_at_place,
-    exceptional_primes,
-    recognize_case,
-)
-from .dynamics import (
-    AdelePoint,
-    BasinPoint,
-    BehaviorEvidence,
-    BehaviorVerdict,
-    ProductFormulaReport,
-    Step,
-    Termination,
-    TrajectoryRecord,
-    VerdictKind,
-    admissible_bound,
-    basin_sample,
-    detect_behavior,
-    iterate_at_place,
-    local_multiplier_radius,
-    principal_adele,
-    product_norm,
-    siegel_max_radius,
-    step_adele,
-    verify_product_formula,
-)
-from .exact import (
-    Factorization,
-    factorize,
-    is_perfect_square,
-    is_prime,
-    normalize,
-    parse_rational,
-    primes_upto,
-)
-from .moebius import (
-    FixedPoints,
-    MoebiusMap,
-    cross_ratio,
-    discriminant,
-    fixed_points,
-    modular_family,
-)
-from .padic import (
-    INFINITE,
-    PAdicExpansion,
-    Place,
-    REAL,
-    ball_contains,
-    norm_support,
-    padic_distance,
-    padic_expansion,
-    padic_norm,
-    place_norm,
-    valuation,
-)
+from .classification import *
+from .dynamics import *
+from .exact import *
+from .moebius import *
+from .padic import *
 
-__all__ = [
-    "AdelePoint",
-    "AdelicFixedPointReport",
-    "BasinPoint",
-    "BehaviorEvidence",
-    "BehaviorVerdict",
-    "CaseTag",
-    "ExceptionalSets",
-    "Factorization",
-    "FixedPoints",
-    "INFINITE",
-    "IndifferenceAudit",
-    "MoebiusMap",
-    "PAdicExpansion",
-    "Place",
-    "PlaceClassification",
-    "ProductFormulaReport",
-    "REAL",
-    "Stability",
-    "Step",
-    "Termination",
-    "TrajectoryRecord",
-    "VerdictKind",
-    "adelic_report",
-    "admissible_bound",
-    "audit_cofinite_indifference",
-    "ball_contains",
-    "basin_sample",
-    "case_a_map",
-    "case_b_map",
-    "case_c_map",
-    "case_d_map",
-    "case_e_map",
-    "case_f_map",
-    "case_predicted_report",
-    "classify_at_place",
-    "cross_ratio",
-    "detect_behavior",
-    "discriminant",
-    "exceptional_primes",
-    "factorize",
-    "fixed_points",
-    "is_perfect_square",
-    "is_prime",
-    "iterate_at_place",
-    "local_multiplier_radius",
-    "modular_family",
-    "norm_support",
-    "normalize",
-    "padic_distance",
-    "padic_expansion",
-    "padic_norm",
-    "parse_rational",
-    "place_norm",
-    "primes_upto",
-    "principal_adele",
-    "product_norm",
-    "recognize_case",
-    "siegel_max_radius",
-    "step_adele",
-    "valuation",
-    "verify_product_formula",
-]
+__all__ = sorted(
+    [*classification.__all__, *dynamics.__all__, *exact.__all__, *moebius.__all__, *padic.__all__]
+)

@@ -26,6 +26,27 @@ from .exact import DEFAULT_FACTOR_BOUND, RationalLike, primes_upto, rational, sh
 from .moebius import MoebiusMap, fixed_points, unit_sign
 from .padic import Place, norm_support, place_norm
 
+__all__ = [
+    "AdelicFixedPointReport",
+    "CaseTag",
+    "ExceptionalSets",
+    "IndifferenceAudit",
+    "PlaceClassification",
+    "Stability",
+    "adelic_report",
+    "audit_cofinite_indifference",
+    "case_a_map",
+    "case_b_map",
+    "case_c_map",
+    "case_d_map",
+    "case_e_map",
+    "case_f_map",
+    "case_predicted_report",
+    "classify_at_place",
+    "exceptional_primes",
+    "recognize_case",
+]
+
 
 class Stability(str, Enum):
     ATTRACTIVE = "attractive"

@@ -54,6 +54,7 @@ from .errors import (
     AdelicDynError,
     DegeneratePoints,
     InputError,
+    NonSquareDeterminant,
     ParseError,
     ResourceLimitError,
 )
@@ -65,7 +66,6 @@ from .exact import (
     ORBIT_STEPS,
     STEP_BITS,
     int_digit_limit,
-    is_perfect_square,
     parse_integer,
     parse_rational,
     parse_rationals,
@@ -211,9 +211,11 @@ def emit(cfg: Namespace, doc: dict, header: list[str], rows: list[list[str]]) ->
 
 def _case_tags(m: MoebiusMap) -> list[str]:
     """Family tags; computed on the det-1 rescaling when det is a square."""
-    if is_perfect_square(m.det) is None:
+    try:
+        unit = m.rescale_to_unit_det()
+    except NonSquareDeterminant:
         return []
-    return sorted(tag.value for tag in recognize_case(m.rescale_to_unit_det()))
+    return sorted(tag.value for tag in recognize_case(unit))
 
 
 def _emit_classification(cfg: Namespace, m: MoebiusMap, **head) -> None:

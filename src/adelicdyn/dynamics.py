@@ -48,6 +48,28 @@ from .exact import (
 from .moebius import MoebiusMap
 from .padic import REAL, Place, norm_support, place_norm
 
+__all__ = [
+    "AdelePoint",
+    "BasinPoint",
+    "BehaviorEvidence",
+    "BehaviorVerdict",
+    "ProductFormulaReport",
+    "Step",
+    "Termination",
+    "TrajectoryRecord",
+    "VerdictKind",
+    "admissible_bound",
+    "basin_sample",
+    "detect_behavior",
+    "iterate_at_place",
+    "local_multiplier_radius",
+    "principal_adele",
+    "product_norm",
+    "siegel_max_radius",
+    "step_adele",
+    "verify_product_formula",
+]
+
 #: An orbit has converged once its distance to xi has strictly decreased
 #: for WINDOW consecutive steps and is below CONVERGENCE_THRESHOLD; every
 #: other verdict is read from the last WINDOW steps of the orbit.

@@ -41,6 +41,16 @@ from .errors import (
     ZeroInput,
 )
 
+__all__ = [
+    "Factorization",
+    "factorize",
+    "is_perfect_square",
+    "is_prime",
+    "normalize",
+    "parse_rational",
+    "primes_upto",
+]
+
 #: Values accepted wherever a rational is expected; coerced by `rational`.
 RationalLike = Fraction | int | str
 

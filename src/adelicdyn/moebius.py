@@ -39,6 +39,15 @@ from .exact import (
     RationalLike, Value, coprime_fraction, is_perfect_square, parse_rationals, rational, shown,
 )
 
+__all__ = [
+    "FixedPoints",
+    "MoebiusMap",
+    "cross_ratio",
+    "discriminant",
+    "fixed_points",
+    "modular_family",
+]
+
 
 class MoebiusMap(Value):
     """Coefficients (a, b, c, d) with ad - bc != 0."""

@@ -22,6 +22,20 @@ from .exact import (
     strip_prime,
 )
 
+__all__ = [
+    "INFINITE",
+    "PAdicExpansion",
+    "Place",
+    "REAL",
+    "ball_contains",
+    "norm_support",
+    "padic_distance",
+    "padic_expansion",
+    "padic_norm",
+    "place_norm",
+    "valuation",
+]
+
 #: Valuation of 0; compares correctly against every finite integer valuation.
 INFINITE = math.inf
 
@@ -103,15 +117,16 @@ def ball_contains(center: RationalLike, mu: int, x: RationalLike, p: int) -> boo
 
 
 class PAdicExpansion(NamedTuple):
-    """Truncated canonical expansion p^nu * sum(digits[k] * p^k)."""
+    """Truncated canonical expansion p^nu * sum(digits[k] * p^k) for a
+    prime p, which `partial_sum` proves."""
 
     p: int
     nu: int
     digits: tuple[int, ...]
 
     def partial_sum(self) -> Fraction:
-        total = sum(x * self.p**k for k, x in enumerate(self.digits))
-        return prime_power(self.p, self.nu) * total
+        p = Place(self.p).p
+        return prime_power(p, self.nu) * sum(x * p**k for k, x in enumerate(self.digits))
 
     def to_dict(self) -> dict:
         return {"p": self.p, "nu": self.nu, "digits": list(self.digits)}

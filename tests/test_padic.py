@@ -313,7 +313,7 @@ def test_norms_are_canonical_fractions(p, num, den, sign, shift, kind):
         assert norm.denominator > 0 and math.gcd(norm.numerator, norm.denominator) == 1
 
 
-@pytest.mark.parametrize("p", COMPOSITES)
+@pytest.mark.parametrize("p", COMPOSITES + (-2, 0, 1))
 def test_every_bare_prime_is_proven_by_place(p):
     message = f"{p} is not a prime, so not a finite place"
     calls = (
@@ -322,6 +322,7 @@ def test_every_bare_prime_is_proven_by_place(p):
         lambda: padic_distance(1, Fraction(1, 2), p),
         lambda: ball_contains(0, 1, Fraction(2, 7), p),
         lambda: padic_expansion(Fraction(-7, 2), p, 3),
+        lambda: PAdicExpansion(p, -1, (1,)).partial_sum(),
     )
     for call in calls:
         with pytest.raises(NotPrime, match=f"^{message}$"):

@@ -40,6 +40,26 @@ def test_traced_and_exported_names_exist():
         assert hasattr(adelicdyn, name), name
 
 
+def test_each_public_name_is_declared_once_where_it_is_defined():
+    # the package republishes its modules' `__all__` lists, so a name is
+    # declared in the module that defines it and nowhere else
+    layers = ("classification", "dynamics", "exact", "moebius", "padic")
+    modules = [importlib.import_module(f"adelicdyn.{layer}") for layer in layers]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert adelicdyn.__all__ == sorted(declared)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):  # a class or a function, not REAL or INFINITE
+                assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
+    tracer = _load_tracer()
+    for layer, names in tracer.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"adelicdyn.{layer}")
+        for name in names:
+            assert name in module.__all__ or name in tracer.MOEBIUS_METHODS, f"{layer}.{name}"
+
+
 def test_records_are_named_tuples_and_value_types_are_validated_values():
     # records that only carry data are NamedTuples, like Step; the value
     # types check their fields in the constructor, are immutable and are
