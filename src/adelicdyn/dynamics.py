@@ -6,12 +6,17 @@ to the reference fixed point is an exact Fraction, so statements like "the
 sphere is invariant" are literal equality checks.  An orbit step is
 `MoebiusMap.apply`'s, on the map's cleared integer matrix (the `moebius`
 docstring states the rule).  Every recorded x and dist is still an exact,
-canonical Fraction.  A bit-size guard aborts runaway orbits instead of
-falling back to floating point.  A basin sweep checks xi once, and its one
-orbit kernel records only distances.  An adele step applies the map once
-to each distinct component value, which also finds the pole, and the
-adeles the library builds itself skip the checks of `AdelePoint(...)`:
-their primes are proven once, by `factorize` or by the first constructor.
+canonical Fraction.  At a p-adic place an orbit step strictly inside the
+linearization disk |x - xi|_p < |c xi + d|_p / |c|_p (all of Q_p for
+c = 0) scales the distance by exactly |f'(xi)|_p, as
+`local_multiplier_radius` proves, so the kernel steps the distance's
+exponent there and computes it only at the start and outside the disk.  A
+bit-size guard aborts runaway orbits instead of falling back to floating
+point.  A basin sweep checks xi once, and its one orbit kernel records only
+distances.  An adele step applies the map once to each distinct component
+value, which also finds the pole, and the adeles the library builds itself
+skip the checks of `AdelePoint(...)`: their primes are proven once, by
+`factorize` or by the first constructor.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -46,7 +52,7 @@ from .exact import (
     strip_prime,
 )
 from .moebius import MoebiusMap
-from .padic import REAL, Place, norm_support, place_norm
+from .padic import INFINITE, REAL, Place, _exponent, norm_support, place_norm
 
 __all__ = [
     "AdelePoint",
@@ -131,7 +137,8 @@ def iterate_at_place(
     """
     x0, xi = rational(x0), m.check_fixed_point(xi)
     xs, dists, terminated = _orbit_kernel(m, xi, v, max_steps, bit_guard, True)(x0)
-    return TrajectoryRecord(v, xi, tuple(map(Step, range(len(xs)), xs, dists)), terminated)
+    steps = tuple(map(tuple.__new__, repeat(Step), zip(range(len(xs)), xs, dists)))
+    return TrajectoryRecord(v, xi, steps, terminated)
 
 
 def _orbit_kernel(
@@ -143,16 +150,23 @@ def _orbit_kernel(
     The map is cleared once, and a step is `MoebiusMap.apply`'s, inline on
     the pair num/den.  The distance comes from the integer
     num xi_den - xi_num den; at a p-adic place "the distance decreased" is
-    decided on its valuation.
+    decided on its valuation.  There, from a previous distance p^-nu
+    strictly inside the linearization disk (nu > rho, with
+    p^-rho = |c xi + d|_p / |c|_p), the next is exactly p^-(nu + mu),
+    mu = v_p(f'(xi)), by the rule that `local_multiplier_radius` proves; the
+    distance is computed at the start, outside the disk and at the real
+    place.
     """
     a, b, c, d = m._matrix()
     det = a * d - b * c
     xi_num, xi_den = xi.numerator, xi.denominator
-    # distance(num, den) is (dist, rank): rank orders the distances as dist
-    # does, so a step's distance decreased iff its rank is below the last
+    # distance(num, den, last) is (dist, rank): rank orders the distances as
+    # dist does, so a step's distance decreased iff its rank is below the
+    # last rank, which the start, with no last, leaves at its default
     if v.is_real:
 
-        def distance(num: int, den: int) -> tuple[Fraction, Fraction]:
+        def distance(num: int, den: int, last=None) -> tuple[Fraction, Fraction]:
+            # no rule steps a real distance, so `last` is not read
             # both points are in lowest terms, so with gcd(den, xi_den) = 1 a
             # prime of den divides xi_num den but not num xi_den, so not t,
             # and likewise for xi_den: t/(den xi_den) needs no gcd, and t = 0
@@ -166,22 +180,31 @@ def _orbit_kernel(
         p = v.p
         xi_den_nu = strip_prime(xi_den, p)[1]
         norms: dict[int, Fraction] = {}  # p^-nu by nu, shared by every orbit
+        # v_p(0) = INFINITE makes rho = -inf for c = 0, where the disk is
+        # all of Q_p
+        mu = _exponent(p, m.derivative_at(xi))
+        rho = _exponent(p, m.c * xi + m.d) - _exponent(p, m.c)
 
-        def distance(num: int, den: int) -> tuple[Fraction, int | None]:
-            # rank -nu, the integer exponent of dist = p^-nu; x = xi only
-            # at a start that ends the orbit at once, so rank None there is
-            # never compared
-            t = num * xi_den - xi_num * den
-            if t == 0:
-                return Fraction(0), None
-            nu = -xi_den_nu
-            # inline rather than strip_prime: this is the per-step hot path
-            while t % p == 0:
-                t //= p
-                nu += 1
-            while den % p == 0:
-                den //= p
-                nu -= 1
+        def distance(num: int, den: int, last=INFINITE) -> tuple[Fraction, int | None]:
+            # rank -nu, the integer exponent of dist = p^-nu; inside the disk
+            # it is stepped from the last rank, and the start's INFINITE is
+            # outside every disk; x = xi only at a start that ends the orbit
+            # at once, so rank None there is never compared
+            nu = -last
+            if nu > rho:
+                nu += mu
+            else:
+                t = num * xi_den - xi_num * den
+                if t == 0:
+                    return Fraction(0), None
+                nu = -xi_den_nu
+                # inline rather than strip_prime: this is the per-step hot path
+                while t % p == 0:
+                    t //= p
+                    nu += 1
+                while den % p == 0:
+                    den //= p
+                    nu -= 1
             norm = norms.get(nu)
             if norm is None:
                 norm = norms[nu] = prime_power(p, -nu)
@@ -219,7 +242,7 @@ def _orbit_kernel(
             if den < 0:
                 num, den = -num, -den
             last_rank = rank
-            dist, rank = distance(num, den)
+            dist, rank = distance(num, den, rank)
             if (num.bit_length() > near or den.bit_length() > near) and (
                 _bit_size(num, den, dist) > bit_guard
             ):
@@ -336,7 +359,8 @@ def local_multiplier_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction
     From f(x) - xi = (x - xi) det / ((cx + d)(c xi + d)): strictly inside
     |x - xi|_p < |c xi + d|_p / |c|_p the ultrametric forces
     |cx + d|_p = |c xi + d|_p, so one step scales the distance by exactly
-    |f'(xi)|_p.
+    |f'(xi)|_p.  The orbit kernel relies on this rule: inside the radius it
+    steps a p-adic distance by |f'(xi)|_p instead of computing it.
     """
     return _locality_radius(m, _needs_c(m).check_fixed_point(xi), Place(p))
 

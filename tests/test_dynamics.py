@@ -270,7 +270,7 @@ def test_orbit_matches_the_definitions(monkeypatch):
     # windows (patched into the module constants the kernel reads) make
     # convergence common
     rng = random.Random(127)
-    seen = set()
+    seen, paths = set(), set()
     for trial in range(200):
         m, xi, v, x0 = random_orbit_start(rng, trial)
         max_steps = rng.choice((0, 1, 12, 40))
@@ -293,10 +293,40 @@ def test_orbit_matches_the_definitions(monkeypatch):
             type(s.x) is Fraction and type(s.dist) is Fraction for s in record.steps
         )
         seen.add((record.terminated_by, len(record.steps) > 1))
+        if not v.is_real:
+            paths.update(disk_paths(m, expected))
     # every way to stop, and both pole hits and convergence at x0 and later
     assert {stop for stop, _ in seen} == set(Termination)
     for stop in (Termination.POLE_HIT, Termination.CONVERGED):
         assert {(stop, False), (stop, True)} <= seen
+    # every path of a p-adic distance through the linearization disk
+    assert paths == {"inside step", "enters", "leaves", "affine"}
+
+
+def disk_paths(m, record):
+    """How a p-adic orbit moves through the linearization disk
+    |x - xi|_p < |c xi + d|_p / |c|_p, the whole of Q_p for c = 0: "inside
+    step" for a step from strictly inside, "enters" for a start outside
+    that comes inside, "leaves" for a step from inside to outside, and
+    "affine" for a step of a map with c = 0."""
+    _, _, c, d = m.coefficients()
+    v = record.place
+    if c == 0:
+        inside = [True] * len(record.steps)
+    else:
+        radius = definition_norm(c * record.xi + d, v) / definition_norm(c, v)
+        inside = [s.dist < radius for s in record.steps]
+    steps = list(zip(inside, inside[1:]))
+    return {
+        path
+        for path, taken in (
+            ("inside step", any(before for before, _ in steps)),
+            ("enters", not inside[0] and any(inside)),
+            ("leaves", any(before and not after for before, after in steps)),
+            ("affine", c == 0 and bool(steps)),
+        )
+        if taken
+    }
 
 
 CASE_B_MAP = MoebiusMap(Fraction(5, 4), Fraction(3, 4), Fraction(3, 4), Fraction(5, 4))
