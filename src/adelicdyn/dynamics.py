@@ -6,17 +6,19 @@ to the reference fixed point is an exact Fraction, so statements like "the
 sphere is invariant" are literal equality checks.  An orbit step is
 `MoebiusMap.apply`'s, on the map's cleared integer matrix (the `moebius`
 docstring states the rule).  Every recorded x and dist is still an exact,
-canonical Fraction.  At a p-adic place an orbit step strictly inside the
-linearization disk |x - xi|_p < |c xi + d|_p / |c|_p (all of Q_p for
-c = 0) scales the distance by exactly |f'(xi)|_p, as
-`local_multiplier_radius` proves, so the kernel steps the distance's
-exponent there and computes it only at the start and outside the disk.  A
-bit-size guard aborts runaway orbits instead of falling back to floating
-point.  A basin sweep checks xi once, and its one orbit kernel records only
-distances.  An adele step applies the map once to each distinct component
-value, which also finds the pole, and the adeles the library builds itself
-skip the checks of `AdelePoint(...)`: their primes are proven once, by
-`factorize` or by the first constructor.
+canonical Fraction.  One helper, `_local`, reads a checked fixed point's
+multiplier norm |f'(xi)|_v and linearization radius |c xi + d|_v / |c|_v
+(none for c = 0: the disk is everything); the kernel's step exponents, the
+verdicts' test |f'(xi)|_v > 1 and both public radii come from it.  At a
+p-adic place an orbit step strictly inside the disk scales the distance by
+exactly |f'(xi)|_p, as `local_multiplier_radius` proves, so the kernel
+steps the distance's exponent there and computes it only at the start and
+outside the disk.  A bit-size guard aborts runaway orbits instead of
+falling back to floating point.  A basin sweep checks xi once, and its one
+orbit kernel records only distances.  An adele step applies the map once to
+each distinct component value, which also finds the pole, and the adeles
+the library builds itself skip the checks of `AdelePoint(...)`: their
+primes are proven once, by `factorize` or by the first constructor.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .classification import Stability, classify_at_place
 from .errors import (
     CIsZero,
     NonIntegralTail,
@@ -136,27 +137,32 @@ def iterate_at_place(
     x0 is read, xi checked, and the orbit run once by `_orbit_kernel`.
     """
     x0, xi = rational(x0), m.check_fixed_point(xi)
-    xs, dists, terminated = _orbit_kernel(m, xi, v, max_steps, bit_guard, True)(x0)
+    xs, dists, terminated = _orbit_kernel(m, xi, v, max_steps, bit_guard, True)[0](x0)
     steps = tuple(map(tuple.__new__, repeat(Step), zip(range(len(xs)), xs, dists)))
     return TrajectoryRecord(v, xi, steps, terminated)
 
 
 def _orbit_kernel(
     m: MoebiusMap, xi: Fraction, v: Place, max_steps: int, bit_guard: int, keep_xs: bool
-) -> Callable[[Fraction], tuple[list[Fraction] | None, list[Fraction], Termination]]:
-    """run(x0) -> (xs, dists, terminated), the orbit of x0 for a checked xi, with
-    xs None unless `keep_xs`; all that does not depend on x0 is prepared here.
+) -> tuple[
+    Callable[[Fraction], tuple[list[Fraction] | None, list[Fraction], Termination]],
+    Fraction | None,
+    bool,
+]:
+    """(run, radius, |f'(xi)|_v > 1) for a checked xi, the last two `_local`'s;
+    run(x0) -> (xs, dists, terminated) is x0's orbit, xs None unless
+    `keep_xs`.  All that does not depend on x0 is prepared here.
 
     The map is cleared once, and a step is `MoebiusMap.apply`'s, inline on
     the pair num/den.  The distance comes from the integer
     num xi_den - xi_num den; at a p-adic place "the distance decreased" is
     decided on its valuation.  There, from a previous distance p^-nu
-    strictly inside the linearization disk (nu > rho, with
-    p^-rho = |c xi + d|_p / |c|_p), the next is exactly p^-(nu + mu),
-    mu = v_p(f'(xi)), by the rule that `local_multiplier_radius` proves; the
-    distance is computed at the start, outside the disk and at the real
-    place.
+    strictly inside the linearization disk (nu > rho, with p^-rho the
+    radius), the next is exactly p^-(nu + mu), with p^-mu = |f'(xi)|_p, by
+    the rule that `local_multiplier_radius` proves; the distance is
+    computed at the start, outside the disk and at the real place.
     """
+    norm, radius = _local(m, xi, v)
     a, b, c, d = m._matrix()
     det = a * d - b * c
     xi_num, xi_den = xi.numerator, xi.denominator
@@ -180,10 +186,8 @@ def _orbit_kernel(
         p = v.p
         xi_den_nu = strip_prime(xi_den, p)[1]
         norms: dict[int, Fraction] = {}  # p^-nu by nu, shared by every orbit
-        # v_p(0) = INFINITE makes rho = -inf for c = 0, where the disk is
-        # all of Q_p
-        mu = _exponent(p, m.derivative_at(xi))
-        rho = _exponent(p, m.c * xi + m.d) - _exponent(p, m.c)
+        mu = -_exponent(p, norm)
+        rho = -INFINITE if radius is None else -_exponent(p, radius)  # c = 0: all of Q_p
 
         def distance(num: int, den: int, last=INFINITE) -> tuple[Fraction, int | None]:
             # rank -nu, the integer exponent of dist = p^-nu; inside the disk
@@ -257,7 +261,7 @@ def _orbit_kernel(
                 break
         return xs, dists, terminated
 
-    return run
+    return run, radius, norm > 1
 
 
 class VerdictKind(str, Enum):
@@ -289,9 +293,11 @@ class BehaviorVerdict(NamedTuple):
         return {"kind": self.kind.value, "evidence": self.evidence.to_dict()}
 
 
-def _locality_radius(m: MoebiusMap, xi: Fraction, v: Place) -> Fraction | None:
-    """|c xi + d|_v / |c|_v, the distance from xi to the pole; None if c = 0."""
-    return None if m.c == 0 else place_norm(m.c * xi + m.d, v) / place_norm(m.c, v)
+def _local(m: MoebiusMap, xi: Fraction, v: Place) -> tuple[Fraction, Fraction | None]:
+    """(|f'(xi)|_v, radius) at a checked fixed point xi: the radius
+    |c xi + d|_v / |c|_v is the distance from xi to the pole, None if c = 0."""
+    radius = None if m.c == 0 else place_norm(m.c * xi + m.d, v) / place_norm(m.c, v)
+    return place_norm(m.derivative_at(xi), v), radius
 
 
 def _needs_c(m: MoebiusMap) -> MoebiusMap:
@@ -315,15 +321,15 @@ def detect_behavior(t: TrajectoryRecord, m: MoebiusMap) -> BehaviorVerdict:
     the ultrametric scales each step's distance by it); at the real place an
     orbit can grow for a window near an attracting or fused xi.
     """
-    repels = place_norm(m.derivative_at(t.xi), t.place) > 1
-    return _verdict(t.distances(), t.terminated_by, _locality_radius(m, t.xi, t.place), repels)
+    norm, radius = _local(m, t.xi, t.place)
+    return _verdict(t.distances(), t.terminated_by, radius, norm > 1)
 
 
 def _verdict(
-    dists: list[Fraction], terminated_by: Termination, rho: Fraction | None, repels: bool
+    dists: list[Fraction], terminated_by: Termination, radius: Fraction | None, repels: bool
 ) -> BehaviorVerdict:
     """`detect_behavior` from an orbit's distances, stop, radius and |f'(xi)|_v > 1."""
-    inside = None if rho is None else dists[0] < rho
+    inside = None if radius is None else dists[0] < radius
     used = min(WINDOW, len(dists) - 1)
     tail = dists[-(used + 1) :]
     pairs = list(zip(tail, tail[1:]))
@@ -362,7 +368,7 @@ def local_multiplier_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction
     |f'(xi)|_p.  The orbit kernel relies on this rule: inside the radius it
     steps a p-adic distance by |f'(xi)|_p instead of computing it.
     """
-    return _locality_radius(m, _needs_c(m).check_fixed_point(xi), Place(p))
+    return _local(m, _needs_c(m).check_fixed_point(xi), Place(p))[1]
 
 
 def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
@@ -371,13 +377,12 @@ def siegel_max_radius(m: MoebiusMap, xi: RationalLike, p: int) -> Fraction:
     Defined only where xi is indifferent; equals the linearization radius,
     since there |f(x) - xi|_p = |x - xi|_p exactly.
     """
-    xi = rational(xi)
-    cls = classify_at_place(m, xi, Place(p))
-    if cls.kind is not Stability.INDIFFERENT:
-        raise NotIndifferent(
-            f"|f'({shown(xi)})|_{shown(p)} = {shown(cls.multiplier_norm)}, not 1"
-        )
-    return _locality_radius(_needs_c(m), xi, cls.place)
+    xi, v = rational(xi), Place(p)
+    norm, radius = _local(m, m.check_fixed_point(xi), v)
+    if norm != 1:
+        raise NotIndifferent(f"|f'({shown(xi)})|_{shown(p)} = {shown(norm)}, not 1")
+    _needs_c(m)
+    return radius
 
 
 class BasinPoint(NamedTuple):
@@ -407,9 +412,7 @@ def basin_sample(
     raising; only a start past the bit guard raises.
     """
     xi = m.check_fixed_point(xi)
-    orbit = _orbit_kernel(m, xi, v, max_steps, bit_guard, False)
-    rho = _locality_radius(m, xi, v)
-    repels = place_norm(m.derivative_at(xi), v) > 1
+    orbit, radius, repels = _orbit_kernel(m, xi, v, max_steps, bit_guard, False)
     pole = m.pole
     out = []
     for den in range(1, height + 1):
@@ -418,7 +421,7 @@ def basin_sample(
             if x0.denominator != den or x0 == pole:  # not in lowest terms, or the pole
                 continue
             _, dists, terminated = orbit(x0)
-            out.append(BasinPoint(x0, _verdict(dists, terminated, rho, repels), len(dists) - 1))
+            out.append(BasinPoint(x0, _verdict(dists, terminated, radius, repels), len(dists) - 1))
     return out
 
 

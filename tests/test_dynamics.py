@@ -1,5 +1,6 @@
 """Exact orbits, behavior verdicts, Siegel disks, adeles, product formula."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -430,18 +431,28 @@ ATTRACTING_GROWTH = (
     MoebiusMap(-4, 0, Fraction(1, 7), Fraction(-7, 2)), Fraction(1, 3), Fraction(-7, 2), 17
 )
 FUSED_GROWTH = (MoebiusMap(-1, -2, 2, 3), Fraction(-101, 100), Fraction(-1), 20)
+#: `--max-steps 20 basin --map 40,0,1,40 --xi 0 --place real --height 1`'s x0 = -1
+FUSED_SWEEP = (MoebiusMap(40, 0, 1, 40), Fraction(-1), Fraction(0), 20)
 
 
-@pytest.mark.parametrize("m, x0, xi, max_steps", [ATTRACTING_GROWTH, FUSED_GROWTH])
+@pytest.mark.parametrize(
+    "m, x0, xi, max_steps", [ATTRACTING_GROWTH, FUSED_GROWTH, FUSED_SWEEP]
+)
 def test_real_growth_near_a_point_that_does_not_repel_is_no_escape(m, x0, xi, max_steps):
     # f'(-7/2) = 7/8: the orbit leaves the repeller 0 for the pole 49/2 and
     # converges to -7/2 later; f'(-1) = 1, and the distance 1/|w| grows as
-    # w = 1/(x + 1) runs -100, -98, ..., -60
+    # w = 1/(x + 1) runs -100, -98, ..., -60; f'(0) = 1, and the distance
+    # 1/|n/40 - 1| grows from inside the radius 40
     assert place_norm(m.derivative_at(xi), REAL) <= 1
     verdict = detect_behavior(iterate_at_place(m, x0, xi, REAL, max_steps), m)
     assert verdict.kind is VerdictKind.UNDETERMINED
     assert verdict.evidence.strictly_increasing
     assert verdict.evidence.start_inside_radius is True
+    # a sweep reads |f'(xi)|_v > 1 from its own orbit kernel: the smallest
+    # sweep that holds x0 gives x0 the same verdict
+    height = max(abs(x0.numerator), x0.denominator)
+    sweep = basin_sample(m, xi, REAL, height, max_steps)
+    assert [point.verdict for point in sweep if point.x0 == x0] == [verdict]
 
 
 def test_detect_undetermined_outside_radius():
@@ -763,6 +774,22 @@ def test_basin_padic_sample():
         Fraction(-1, 2): VerdictKind.SPHERE_INVARIANT,
         Fraction(1, 2): VerdictKind.SPHERE_INVARIANT,
     }
+
+
+def test_a_padic_sweep_takes_the_multiplier_once(monkeypatch):
+    # the orbit kernel's step exponents and the sweep's verdicts read one
+    # |f'(xi)|_v
+    calls = collections.Counter()
+    original = MoebiusMap.derivative_at
+
+    def counted(self, x):
+        calls["derivative_at"] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(MoebiusMap, "derivative_at", counted)
+    points = basin_sample(CASE_A_MAP, 0, Place(2), height=2, max_steps=60)
+    assert len(points) == 6
+    assert calls == {"derivative_at": 1}
 
 
 def test_basin_height_zero_is_empty():

@@ -201,8 +201,8 @@ def test_factorize_matches_oracle_on_random_integers():
         n = rng.randint(2, 10**6)
         fact = factorize(n)
         assert fact.factors == tuple(trial_division_oracle(n))
-        assert fact.value() == n
-        assert factorize(-n).value() == -n
+        assert fact.sign == 1
+        assert factorize(-n) == Factorization(-1, fact.factors)
     # +/- p^k * u with u prime to p: strip_prime must return (+/- u, k)
     for p in (2, 3, 5, 7):
         for k in range(6):
@@ -255,8 +255,8 @@ def test_factorization_error_names_a_bound_that_decides():
         named = int(re.search(r"; a factor bound of (\d+) decides it$", message)[1])
         assert named > bound
         fact = factorize(n, named)
-        assert dict(fact.factors) == sympy.factorint(abs(n))
-        assert fact.value() == n
+        assert fact.factors == tuple(sorted(sympy.factorint(abs(n)).items()))
+        assert fact.sign == (1 if n > 0 else -1)
 
 
 def test_factorization_error_shows_long_integers_by_bit_length():
