@@ -94,9 +94,6 @@ class ExceptionalSets(NamedTuple):
     numerator_primes: frozenset[int]
     denominator_primes: frozenset[int]
 
-    def all_primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.numerator_primes | self.denominator_primes))
-
 
 def exceptional_primes(
     q: RationalLike, bound: int = DEFAULT_FACTOR_BOUND

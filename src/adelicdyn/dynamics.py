@@ -296,7 +296,7 @@ class BehaviorVerdict(NamedTuple):
 def _local(m: MoebiusMap, xi: Fraction, v: Place) -> tuple[Fraction, Fraction | None]:
     """(|f'(xi)|_v, radius) at a checked fixed point xi: the radius
     |c xi + d|_v / |c|_v is the distance from xi to the pole, None if c = 0."""
-    radius = None if m.c == 0 else place_norm(m.c * xi + m.d, v) / place_norm(m.c, v)
+    radius = None if m.c == 0 else place_norm(xi - m.pole, v)
     return place_norm(m.derivative_at(xi), v), radius
 
 

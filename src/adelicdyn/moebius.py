@@ -125,16 +125,14 @@ class MoebiusMap(Value):
 
     def derivative_at(self, x: RationalLike) -> Fraction:
         """(ad - bc)/(cx + d)^2, exactly: (AD - BC) q^2/(Cn + Dq)^2 at
-        x = n/q, reduced by one gcd."""
+        x = n/q, reduced once by `Fraction`."""
         x = rational(x)
         a, b, c, d = self._matrix()
         n, q = x.numerator, x.denominator
         den = c * n + d * q
         if den == 0:
             raise PoleInput(f"derivative undefined at the pole {shown(x)}")
-        num, den = (a * d - b * c) * q * q, den * den
-        g = math.gcd(num, den)
-        return coprime_fraction(num // g, den // g)
+        return Fraction((a * d - b * c) * q * q, den * den)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product: self.compose(other)(x) == self(other(x)).  Its det,

@@ -8,10 +8,13 @@ under tests/golden/demos/.  Regenerate deliberately with
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -83,6 +86,29 @@ def _run(argv: list[str], env_extra: dict[str, str] | None = None):
 def run_cli(args: list[str], env_extra: dict[str, str] | None = None):
     """Invoke the CLI in a subprocess with ADELICDYN_* stripped from the env."""
     return _run([sys.executable, "-m", "adelicdyn", *args], env_extra)
+
+
+def main_in_process(argv: list[str]):
+    """(exit code, stdout, stderr) of `adelicdyn.cli.main()` on argv, in this
+    process with ADELICDYN_* cleared, ADELICDYN_MAX_STEPS=8 and COLUMNS=80;
+    any exception but SystemExit propagates."""
+    from adelicdyn.cli import main
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
+    env.update(ADELICDYN_MAX_STEPS="8", COLUMNS="80")
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    code = 0
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, env, clear=True))
+        stack.enter_context(mock.patch.object(sys, "argv", ["adelicdyn", *argv]))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            main()
+        except SystemExit as exc:
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 def run_demo(demo: Path):

@@ -1,4 +1,4 @@
-"""Shared generators and oracles for the test suite.
+"""Shared generators, a canonical-fraction test and a call counter for the test suite.
 
 Randomized tests draw from seeded random.Random instances, so every run
 checks the same sample; the map generator below parametrizes det-1 maps by
@@ -8,7 +8,9 @@ an eigenvalue t, which guarantees a rational-square discriminant
 
 from __future__ import annotations
 
+import math
 import random
+from collections.abc import Callable, MutableMapping
 from fractions import Fraction
 
 from adelicdyn import MoebiusMap
@@ -60,27 +62,20 @@ def rand_map(rng: random.Random, height: int = 20) -> MoebiusMap:
             return MoebiusMap(a, b, c, d)
 
 
-def trial_division_oracle(n: int) -> list[tuple[int, int]]:
-    """Plain ascending trial division, independent of the library's wheel."""
-    n = abs(n)
-    out = []
-    p = 2
-    while n > 1:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-        p += 1
-    return out
+def is_canonical(r) -> bool:
+    """r is a plain Fraction in lowest terms with a positive denominator,
+    and hashes as the Fraction built from its parts."""
+    return (
+        type(r) is Fraction
+        and r.denominator > 0
+        and math.gcd(r.numerator, r.denominator) == 1
+        and hash(r) == hash(Fraction(r.numerator, r.denominator))
+    )
 
 
-def valuation_oracle(r: Fraction, p: int) -> int:
-    """Definition-based search: the unique nu with r / p^nu a p-unit."""
-    assert r != 0
-    for nu in range(-128, 129):
-        unit = r / Fraction(p) ** nu
-        if unit.numerator % p != 0 and unit.denominator % p != 0:
-            return nu
-    raise AssertionError("valuation outside oracle search range")
+def counted(counts: MutableMapping[str, int], name: str, method: Callable) -> Callable:
+    """`method`, counting each of its calls in counts[name]."""
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return method(*args, **kwargs)
+    return counting

@@ -28,7 +28,6 @@ from adelicdyn import (
     classify_at_place,
     cross_ratio,
     exceptional_primes,
-    factorize,
     fixed_points,
     iterate_at_place,
     modular_family,
@@ -39,6 +38,7 @@ from adelicdyn import (
     siegel_max_radius,
 )
 from adelicdyn.errors import PoleInput
+import oracle
 from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 from helpers import rand_map, rand_nonzero, rand_rational, rand_square_disc_map
 
@@ -100,10 +100,9 @@ def test_criterion_03_cofinite_indifference(unimodular_samples):
     for m in unimodular_samples:
         for xi in fixed_points(m).points:
             multiplier = m.derivative_at(xi)
-            exceptional = set(exceptional_primes(multiplier).all_primes())
-            divisor_primes = set(factorize(multiplier.numerator).primes())
-            divisor_primes |= set(factorize(multiplier.denominator).primes())
-            assert exceptional <= divisor_primes
+            sets = exceptional_primes(multiplier)
+            exceptional = sets.numerator_primes | sets.denominator_primes
+            assert exceptional == set(oracle.primes_of(multiplier))
             for p in scan:
                 indifferent = padic_norm(multiplier, p) == 1
                 assert indifferent == (p not in exceptional)

@@ -9,7 +9,6 @@ from adelicdyn import classification, padic
 from adelicdyn.classification import (
     AdelicFixedPointReport,
     CaseTag,
-    IndifferenceAudit,
     PlaceClassification,
     Stability,
     adelic_report,
@@ -37,8 +36,9 @@ from adelicdyn.errors import (
 )
 from adelicdyn.exact import DEFAULT_FACTOR_BOUND, MAX_PRIME_SCAN, factorize, primes_upto
 from adelicdyn.moebius import MoebiusMap, fixed_points
-from adelicdyn.padic import Place, REAL, norm_support, padic_norm, place_norm
-from helpers import rand_nonzero, rand_square_disc_map
+from adelicdyn.padic import Place, REAL, norm_support
+import oracle
+from helpers import counted, rand_nonzero, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
 CASE_B_MAP = MoebiusMap(Fraction(5, 3), Fraction(4, 3), Fraction(4, 3), Fraction(5, 3))
@@ -87,7 +87,7 @@ def test_exceptional_primes_examples():
     sets = exceptional_primes(Fraction(10, 21))
     assert sets.numerator_primes == {2, 5}
     assert sets.denominator_primes == {3, 7}
-    assert sets.all_primes() == (2, 3, 5, 7)
+    assert sets.numerator_primes | sets.denominator_primes == {2, 3, 5, 7}
 
 
 def test_exceptional_primes_rejects_zero():
@@ -189,16 +189,11 @@ def test_predicted_report_case_mismatch():
 def test_predicted_report_factors_q_once(monkeypatch):
     # both fixed points read q's support: one numerator and one
     # denominator factorization in all
-    calls = []
-
-    def counting_factorize(n, bound):
-        calls.append(n)
-        return factorize(n, bound)
-
+    calls = {"factorize": 0}
     m = case_a_map(6, 1)
-    monkeypatch.setattr(padic, "factorize", counting_factorize)
+    monkeypatch.setattr(padic, "factorize", counted(calls, "factorize", factorize))
     reports = case_predicted_report(CaseTag.A, m)
-    assert len(calls) == 2
+    assert calls == {"factorize": 2}
     assert len(reports) == 2 and reports == adelic_report(m)
 
 
@@ -264,18 +259,17 @@ def test_pairing_law():
     while len(non_square_det) < 30:
         lam, xi, other = (rand_nonzero(rng, 12) for _ in range(3))
         if lam != 1 and xi != other:  # det = lam (xi - other)^2
-            non_square_det.append(map_with_multiplier(lam, xi, other))
+            non_square_det.append(MoebiusMap(*oracle.normal_form_map(lam, xi, other)))
     fused = [rand_square_disc_map(rng, height=20, fused=True) for _ in range(20)]
     for m in unimodular + scaled + non_square_det + fused:
         reports = adelic_report(m)
-        assert len(reports) == len(fixed_points(m).points)
+        assert len(reports) == len(oracle.fixed_points(m.coefficients()))
         for report in reports:
-            q = m.derivative_at(report.xi)
-            support = norm_support(q, DEFAULT_FACTOR_BOUND)
+            q = oracle.multiplier(m.coefficients(), report.xi)
             entries = [
-                (c.place, c.multiplier_norm) for c in (report.real, *report.finite_exceptions)
+                (c.place.p, c.multiplier_norm) for c in (report.real, *report.finite_exceptions)
             ]
-            assert entries == [(v, place_norm(q, v)) for v, _ in support]
+            assert entries == [(p, oracle.norm(q, p)) for p in (None, *oracle.primes_of(q))]
         if len(reports) == 1:
             continue
         first, second = reports
@@ -295,29 +289,6 @@ def test_audit_runs_clean_on_fixtures():
             assert audit.offenders == ()
 
 
-def reference_audit(m, scan_limit, support=norm_support):
-    """The audit with the per-prime rule it had before: |q|_p == 1 by
-    `padic_norm`, which proves p prime again."""
-    audits = []
-    for xi in fixed_points(m).points:
-        q = m.derivative_at(xi)
-        exceptional = tuple(v.p for v, _ in support(q, DEFAULT_FACTOR_BOUND)[1:])
-        offenders = tuple(
-            p
-            for p in primes_upto(scan_limit)
-            if (padic_norm(q, p) == 1) == (p in exceptional)
-        )
-        audits.append(IndifferenceAudit(xi, scan_limit, exceptional, offenders))
-    return audits
-
-
-def map_with_multiplier(lam, xi, other):
-    """The map with fixed points xi != other and f'(xi) = lam (f'(other) = 1/lam)."""
-    return MoebiusMap(
-        lam * xi - other, (1 - lam) * xi * other, lam - 1, xi - lam * other
-    )
-
-
 def support_dropping_a_prime(r, bound):
     support = norm_support(r, bound)
     return support[:1] + support[2:]  # the smallest exceptional prime is lost
@@ -335,8 +306,8 @@ NEAR_THE_LIMITS = (2, 3, 293, 307, 1999, 2003)
 
 
 def test_audit_matches_the_padic_norm_rule(monkeypatch):
-    # multipliers carry primes just below and just above each scan limit;
-    # with a faulty support (patched into both sides) the offenders agree too
+    # multipliers carry primes just below and just above each scan limit; a
+    # faulty support, patched in, gives the oracle its exceptional primes too
     rng = random.Random(37)
     maps = [CASE_A_MAP, CASE_B_MAP, CASE_C_MAP]
     for _ in range(12):
@@ -348,18 +319,21 @@ def test_audit_matches_the_padic_norm_rule(monkeypatch):
             continue
         xi, other = rand_nonzero(rng, 9), rand_nonzero(rng, 9)
         if xi != other:
-            maps.append(map_with_multiplier(lam, xi, other))
+            maps.append(MoebiusMap(*oracle.normal_form_map(lam, xi, other)))
     maps += [rand_square_disc_map(rng, height=30) for _ in range(8)]
     for support in (norm_support, support_dropping_a_prime, support_adding_a_prime):
         monkeypatch.setattr(classification, "norm_support", support)
+        exceptional = None
+        if support is not norm_support:
+            exceptional = lambda q: [v.p for v, _ in support(q, DEFAULT_FACTOR_BOUND)[1:]]
         for m in maps:
             for scan_limit in (0, 1, 2, 300, 2000):
-                expected = reference_audit(m, scan_limit, support)
+                expected = oracle.audit(m.coefficients(), scan_limit, exceptional)
                 assert audit_cofinite_indifference(m, scan_limit) == expected
 
 
 def test_audit_catches_a_faulty_support(monkeypatch):
-    m = map_with_multiplier(Fraction(10, 21), Fraction(1, 3), Fraction(-2))
+    m = MoebiusMap(*oracle.normal_form_map(Fraction(10, 21), Fraction(1, 3), Fraction(-2)))
     for audit in audit_cofinite_indifference(m, 100):
         assert audit.ok and audit.exceptional == (2, 3, 5, 7)
     monkeypatch.setattr(classification, "norm_support", support_dropping_a_prime)

@@ -3,9 +3,7 @@
 import argparse
 import ast
 import collections
-import contextlib
 import inspect
-import io
 import json
 import os
 import re
@@ -22,13 +20,14 @@ from hypothesis import strategies as st
 
 from adelicdyn import cli as cli_module
 from adelicdyn import errors
-from adelicdyn.classification import Stability, classify_at_place
 from adelicdyn.cli import COMMANDS, COUNT, Parser, main
 from adelicdyn.dynamics import DEFAULT_BIT_GUARD
 from adelicdyn.exact import LIMITS, MAX_PRIME_SCAN, int_digit_limit, shown
-from adelicdyn.moebius import MoebiusMap, fixed_points
+from adelicdyn.moebius import MoebiusMap
 from adelicdyn.padic import Place
-from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, ROOT, _run, run_cli
+import oracle
+from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, ROOT, _run, main_in_process, run_cli
+from helpers import counted
 
 #: Longer than the interpreter's default int/str conversion limit (4300).
 HUGE = "7" * 5000
@@ -254,18 +253,18 @@ def test_an_audited_family_classifies_as_its_map(line):
     args = line.split()
     own = {"family", "sign", "param"} if args[0] == "modular" else {"tag"}
     audit = ["--audit-primes", "30"]
-    code, out, err = _main_in_process([*audit, "--format", "json", *args])
+    code, out, err = main_in_process([*audit, "--format", "json", *args])
     assert code == 0, err
     doc = json.loads(out)
     assert own <= doc.keys() and doc["audit"]
     entries = ",".join(doc["map"][name] for name in "abcd")
     classify = [*audit, "classify", "--map", entries]
     assert {k: v for k, v in doc.items() if k not in own} == json.loads(
-        _main_in_process(["--format", "json", *classify])[1]
+        main_in_process(["--format", "json", *classify])[1]
     )
     for fmt in ("csv", "table"):
-        result = _main_in_process([*audit, "--format", fmt, *args])
-        assert result == _main_in_process(["--format", fmt, *classify])
+        result = main_in_process([*audit, "--format", fmt, *args])
+        assert result == main_in_process(["--format", fmt, *classify])
 
 
 def test_an_audited_classify_factors_the_multiplier_once(monkeypatch):
@@ -276,16 +275,12 @@ def test_an_audited_classify_factors_the_multiplier_once(monkeypatch):
     calls = collections.Counter()
     for module, name in [(padic, "norm_support"), (moebius, "fixed_points")]:
         original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
+        counting = counted(calls, name, original)
         for namespace in (classification, cli_module, dynamics, moebius, padic):
             if getattr(namespace, name, None) is original:
-                monkeypatch.setattr(namespace, name, counted)
+                monkeypatch.setattr(namespace, name, counting)
     argv = ["--audit-primes", "30", "--format", "json", "classify", "--map", "1/2,0,1,2"]
-    code, out, err = _main_in_process(argv)
+    code, out, err = main_in_process(argv)
     assert code == 0 and json.loads(out)["audit"], err
     assert calls == {"norm_support": 1, "fixed_points": 1}
 
@@ -530,30 +525,10 @@ def _first_structural_error(argv):
     return None
 
 
-def _main_in_process(argv):
-    """(exit code, stdout, stderr) of main() on argv, run in this process
-    with ADELICDYN_* stripped and short orbits."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
-    env["ADELICDYN_MAX_STEPS"] = "8"
-    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-    code = 0
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.dict(os.environ, env, clear=True))
-        stack.enter_context(mock.patch.object(sys, "argv", ["adelicdyn", *argv]))
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(err))
-        try:
-            main()
-        except SystemExit as exc:  # anything else escapes and fails the test
-            code = exc.code
-    out.flush()
-    return code, out.buffer.getvalue().decode(), err.getvalue()
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=ARGV)
 def test_the_first_structural_error_is_named(argv):
-    code, out, err = _main_in_process(argv)
+    code, out, err = main_in_process(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     if code:
         assert out == ""
@@ -592,13 +567,6 @@ def test_one_scan_names_the_first_bad_argument(args, expected):
         assert (code, out, err) == (2, b"", f"error: {expected}\n".encode())
 
 
-def _counted(counts, name, method):
-    def counting(*args, **kwargs):
-        counts[name] += 1
-        return method(*args, **kwargs)
-    return counting
-
-
 @pytest.mark.parametrize(
     "args,parsers",
     [
@@ -614,9 +582,9 @@ def test_a_run_builds_one_parser_a_part_and_scans_once(args, parsers):
     # the global parser reads the line up to the command, the command's
     # parser the rest; one scan splits the line
     counts = collections.Counter()
-    with mock.patch.object(Parser, "__init__", _counted(counts, "parsers", Parser.__init__)), \
-            mock.patch.object(Parser, "split", _counted(counts, "scans", Parser.split)):
-        code, out, err = _main_in_process(args)
+    with mock.patch.object(Parser, "__init__", counted(counts, "parsers", Parser.__init__)), \
+            mock.patch.object(Parser, "split", counted(counts, "scans", Parser.split)):
+        code, out, err = main_in_process(args)
     assert code in (0, 2), err
     assert counts == {"parsers": parsers, "scans": 1}
 
@@ -988,9 +956,8 @@ def test_orbit_that_runs_its_steps_writes_no_stderr(fmt):
 
 
 def _map_fixing(xi):
-    """'a,b,c,d' of the map with fixed points xi and 1, multiplier 2 at xi."""
-    coeffs = (2 * xi - 1, -xi, 1, xi - 2)
-    return ",".join(str(k) for k in coeffs)
+    """'a,b,c,d' of the map with fixed points xi and 1, multiplier 1/2 at xi."""
+    return ",".join(str(k) for k in oracle.normal_form_map(2, xi, 1))
 
 
 XI_2000, XI_9010 = Fraction(1, 3**2000), Fraction(1, 3**9010)
@@ -1089,16 +1056,6 @@ def test_iterate_verdict_matches_spec_example():
     assert doc["verdict"]["kind"] == "sphere_invariant"
 
 
-def first_attractive_else_larger(m, v):
-    """The default xi of `iterate`, by its rule as first written: the first
-    fixed point that attracts at v, else the larger."""
-    points = fixed_points(m).points
-    for xi in points:
-        if classify_at_place(m, xi, v).kind is Stability.ATTRACTIVE:
-            return xi
-    return max(points)
-
-
 @pytest.mark.parametrize(
     "map_text,place,xi",
     [
@@ -1114,8 +1071,11 @@ def test_iterate_defaults_xi_to_the_attractive_point(map_text, place, xi):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["xi"] == xi
-    m, v = MoebiusMap.from_string(map_text), Place.from_string(place)
-    assert doc["xi"] == str(first_attractive_else_larger(m, v))
+    # the rule as first written: the first fixed point that attracts, else the larger
+    coeffs, p = MoebiusMap.from_string(map_text).coefficients(), Place.from_string(place).p
+    points = oracle.fixed_points(coeffs)
+    attracting = (x for x in points if oracle.norm(oracle.multiplier(coeffs, x), p) < 1)
+    assert doc["xi"] == str(next(attracting, max(points)))
 
 
 def test_classify_case_tags_in_output():

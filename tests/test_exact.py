@@ -39,7 +39,7 @@ from adelicdyn.exact import (
     shown,
     strip_prime,
 )
-from helpers import trial_division_oracle
+import oracle
 
 
 def test_normalize_reduces_and_fixes_sign():
@@ -181,8 +181,8 @@ def test_format_round_trip():
 
 
 def test_factorize_twelve():
-    expected = trial_division_oracle(12)
-    assert expected == [(2, 2), (3, 1)]
+    expected = oracle.factorize(12)
+    assert expected == ((2, 2), (3, 1))
     assert factorize(12) == Factorization(1, ((2, 2), (3, 1)))
 
 
@@ -191,7 +191,7 @@ def test_factorize_negative_unit():
 
 
 def test_factorize_ten():
-    assert factorize(10).factors == tuple(trial_division_oracle(10))
+    assert factorize(10).factors == oracle.factorize(10)
     assert factorize(10) == Factorization(1, ((2, 1), (5, 1)))
 
 
@@ -200,7 +200,7 @@ def test_factorize_matches_oracle_on_random_integers():
     for _ in range(300):
         n = rng.randint(2, 10**6)
         fact = factorize(n)
-        assert fact.factors == tuple(trial_division_oracle(n))
+        assert fact.factors == oracle.factorize(n)
         assert fact.sign == 1
         assert factorize(-n) == Factorization(-1, fact.factors)
     # +/- p^k * u with u prime to p: strip_prime must return (+/- u, k)
@@ -209,7 +209,7 @@ def test_factorize_matches_oracle_on_random_integers():
             u = p * rng.randint(1, 999) + rng.randint(1, p - 1)
             for n in (p**k * u, -(p**k) * u):
                 assert strip_prime(n, p) == (n // p**k, k)
-                assert factorize(n).factors == tuple(trial_division_oracle(abs(n)))
+                assert factorize(n).factors == oracle.factorize(n)
 
 
 def test_factorize_primes_strictly_increasing():
@@ -356,16 +356,6 @@ def test_the_sieve_keeps_few_limits():
     assert primes_upto.cache_info().currsize <= maxsize
 
 
-def trial_division_is_prime(n, limit=10**6):
-    """n's primality by trial division to isqrt(n); None when that passes limit."""
-    if n < 2:
-        return False
-    root = math.isqrt(n)
-    if any(n % d == 0 for d in range(2, min(root, limit) + 1)):
-        return False
-    return True if root <= limit else None
-
-
 #: psi_12: a strong pseudoprime to the first 12 prime bases; only 41 exposes it
 PSI_12 = 318665857834031151167461
 
@@ -391,7 +381,7 @@ def test_is_prime_matches_sympy_beyond_the_sieve():
     for n in cases:
         expected = sympy.isprime(n)
         assert is_prime(n) == expected, n
-        assert trial_division_is_prime(n) in (expected, None), n
+        assert oracle.is_prime(n) in (expected, None), n
     assert is_prime(near) and not is_prime(PSI_12)
     assert PSI_12 == 399165290221 * 798330580441
 

@@ -43,6 +43,11 @@ def test_a_module_imports_only_from_the_layers_below_it(module):
     assert package_imports(SRC / f"{module}.py") <= LAYERS[module]
 
 
+def test_the_oracle_imports_nothing_from_the_package():
+    # the definitions the tests check the library against stay independent of it
+    assert package_imports(Path(__file__).resolve().parent / "oracle.py") == set()
+
+
 def test_the_layer_check_reads_every_import_form(tmp_path):
     source = (
         "import math\nimport adelicdyn.padic\nfrom . import moebius\n"

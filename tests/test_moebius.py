@@ -1,6 +1,5 @@
 """Maps, matrix calculus, fixed points, cross-ratio, integer families."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -28,7 +27,15 @@ from adelicdyn.moebius import (
     modular_family,
 )
 from adelicdyn.exact import is_perfect_square, shown
-from helpers import rand_map, rand_nonzero, rand_rational, rand_square_disc_map
+import oracle
+from helpers import (
+    counted,
+    is_canonical,
+    rand_map,
+    rand_nonzero,
+    rand_rational,
+    rand_square_disc_map,
+)
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
 
@@ -247,21 +254,15 @@ def test_power_matches_repeated_squaring():
 
 
 def test_in_scope_power_makes_no_matrix_products(monkeypatch):
-    calls = []
-    compose = MoebiusMap.compose
-
-    def counting_compose(self, other):
-        calls.append(other)
-        return compose(self, other)
-
-    monkeypatch.setattr(MoebiusMap, "compose", counting_compose)
+    calls = {"compose": 0}
+    monkeypatch.setattr(MoebiusMap, "compose", counted(calls, "compose", MoebiusMap.compose))
     n = 2**20
     big = CASE_A_MAP.power(n)
-    assert calls == []
+    assert calls == {"compose": 0}
     low, high = Fraction(1, 2**n), Fraction(2**n)
     assert big == MoebiusMap(low, 0, (low - high) / Fraction(-3, 2), high)
     MoebiusMap(2, 1, 1, 1).power(3)  # off scope: the counter does see squaring
-    assert calls
+    assert calls["compose"]
 
 
 def test_rescale_examples():
@@ -305,9 +306,7 @@ def _maps():
     nonzero = c.filter(bool)
     drawn = st.tuples(c, c, c, c)
     two = st.builds(
-        lambda x1, x2, l, s: tuple(
-            s * k for k in (l * x1 - x2, (1 - l) * x1 * x2, l - 1, x1 - l * x2)
-        ),
+        lambda x1, x2, l, s: tuple(s * k for k in oracle.normal_form_map(l, x1, x2)),
         c, c, nonzero, nonzero,
     )
     fused = st.builds(
@@ -325,36 +324,25 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _assert_canonical(y):
-    assert type(y) is Fraction
-    assert y.denominator > 0
-    assert math.gcd(y.numerator, y.denominator) == 1
-    assert hash(y) == hash(Fraction(y.numerator, y.denominator))
-
-
-def _plain(coeffs, x):
-    """apply, derivative_at and check_fixed_point at x, by the textbook
-    formulas in plain Fraction arithmetic."""
-    a, b, c, d = coeffs
-    den = c * x + d
-    if den == 0:
+def _expected(coeffs, x):
+    """apply, derivative_at and check_fixed_point at x, from the oracle,
+    each error case as the library's class and message."""
+    image, derivative = oracle.apply(coeffs, x), oracle.multiplier(coeffs, x)
+    if image == "pole":
         at_pole = PoleInput, f"{shown(x)} is the pole -d/c of the map"
         return at_pole, (PoleInput, f"derivative undefined at the pole {shown(x)}"), at_pole
-    image = (a * x + b) / den
     fixed = x if image == x else (NotAFixedPoint, f"{shown(x)} is not fixed by the map")
-    return image, (a * d - b * c) / den**2, fixed
+    return image, derivative, fixed
 
 
-def _plain_fixed_points(coeffs):
-    a, b, c, d = coeffs
-    if c == 0:
+def _expected_fixed_points(coeffs):
+    points = oracle.fixed_points(coeffs)
+    if points == "c_is_zero":
         return CIsZero, "fixed-point analysis needs c != 0"
-    disc = (a - d) ** 2 + 4 * b * c
-    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
-    if disc < 0 or num * num != disc.numerator or den * den != disc.denominator:
+    if points == "not_a_square":
+        disc = oracle.discriminant(coeffs)
         return NonRationalFixedPoints, f"discriminant {shown(disc)} is not a rational square"
-    roots = {(a - d + sign * Fraction(num, den)) / (2 * c) for sign in (1, -1)}
-    return FixedPoints(tuple(sorted(roots)))
+    return FixedPoints(points)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -369,15 +357,15 @@ def test_pointwise_methods_match_plain_formulas(coeffs, data):
     pole = None if c == 0 else -d / c
     assert m.pole == pole
     if pole is not None:
-        _assert_canonical(m.pole)
-    expected_points = _plain_fixed_points(coeffs)
+        assert is_canonical(m.pole)
+    expected_points = _expected_fixed_points(coeffs)
     points = _outcome(fixed_points, m)
     assert points == expected_points
     inputs = [Fraction(0), Fraction(-7, 3), 5]
     if isinstance(points, FixedPoints):
         inputs += points.points
         for xi in points.points:
-            _assert_canonical(xi)
+            assert is_canonical(xi)
     if pole is not None:
         inputs += [pole, str(pole)]
     if data is not None:
@@ -395,10 +383,10 @@ def test_pointwise_methods_match_plain_formulas(coeffs, data):
         got = tuple(
             _outcome(f, x) for f in (m.apply, m.derivative_at, m.check_fixed_point)
         )
-        assert got == _plain(coeffs, Fraction(x)), x
+        assert got == _expected(coeffs, Fraction(x)), x
         for y in got:
             if not isinstance(y, tuple):
-                _assert_canonical(y)
+                assert is_canonical(y), y
 
 
 def test_fixed_points_case_a():

@@ -34,7 +34,8 @@ from adelicdyn.padic import (
     place_norm,
     valuation,
 )
-from helpers import rand_rational, valuation_oracle
+import oracle
+from helpers import counted, is_canonical, rand_rational
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -102,10 +103,10 @@ def test_norm_support_matches_sympy():
 
 
 def test_valuation_examples():
-    assert valuation_oracle(Fraction(12), 2) == 2
+    assert oracle.valuation(Fraction(12), 2) == 2
     assert valuation(12, 2) == 2
     assert valuation(0, 5) == INFINITE
-    assert valuation_oracle(Fraction(1, 9), 3) == -2
+    assert oracle.valuation(Fraction(1, 9), 3) == -2
     assert valuation(Fraction(1, 9), 3) == -2
 
 
@@ -114,7 +115,7 @@ def test_valuation_matches_oracle_random():
     for _ in range(300):
         r = rand_rational(rng, 400, nonzero=True)
         p = rng.choice(SMALL_PRIMES)
-        assert valuation(r, p) == valuation_oracle(r, p)
+        assert valuation(r, p) == oracle.valuation(r, p)
 
 
 def test_valuation_rejects_composite():
@@ -307,10 +308,8 @@ def test_norms_are_canonical_fractions(p, num, den, sign, shift, kind):
     # p^shift gives valuations of either sign; the argument is a Fraction,
     # a Fraction subclass or text, and each norm a canonical plain Fraction
     r = Fraction(sign * num, den) * Fraction(p) ** shift
-    expected = Fraction(0) if r == 0 else Fraction(p) ** -valuation(r, p)
     for norm in (place_norm(kind(r), Place(p)), padic_norm(kind(r), p)):
-        assert type(norm) is Fraction and norm == expected
-        assert norm.denominator > 0 and math.gcd(norm.numerator, norm.denominator) == 1
+        assert norm == oracle.norm(r, p) and is_canonical(norm)
 
 
 @pytest.mark.parametrize("p", COMPOSITES + (-2, 0, 1))
@@ -333,17 +332,8 @@ def test_each_prime_and_fixed_point_is_proven_once(monkeypatch):
     m = MoebiusMap(Fraction(1, 2), 0, 1, 2)
     v = Place(3)
     calls = {"primes": 0, "fixed_points": 0}
-    is_prime, check_fixed_point = padic.is_prime, MoebiusMap.check_fixed_point
-
-    def proving(n):
-        calls["primes"] += 1
-        return is_prime(n)
-
-    def checking(self, xi):
-        calls["fixed_points"] += 1
-        return check_fixed_point(self, xi)
-
-    monkeypatch.setattr(padic, "is_prime", proving)
+    checking = counted(calls, "fixed_points", MoebiusMap.check_fixed_point)
+    monkeypatch.setattr(padic, "is_prime", counted(calls, "primes", padic.is_prime))
     monkeypatch.setattr(MoebiusMap, "check_fixed_point", checking)
     # (call, primality proofs, fixed-point checks); a Place proves its
     # prime once, and a norm at that Place proves nothing again; both fixed

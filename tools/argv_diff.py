@@ -3,8 +3,9 @@
     python tools/argv_diff.py OLD_SRC NEW_SRC [--count N] [--seed S]
 
 Each tree runs in a child process of the same interpreter, which calls
-`adelicdyn.cli.main()` in-process once per argv, with every ADELICDYN_*
-variable cleared, ADELICDYN_MAX_STEPS=8 and COLUMNS=80.  The corpus is
+`adelicdyn.cli.main()` in-process once per argv through
+`tests/goldens.py`'s `main_in_process`: every ADELICDYN_* variable
+cleared, ADELICDYN_MAX_STEPS=8 and COLUMNS=80.  The corpus is
 drawn from OLD_SRC's flag table: commands, every flag, help flags, '--',
 unknown flags, '--flag=value' and '-r6' forms, and values, around a
 command or at random.  The tool prints how many argv differ in exit code,
@@ -18,13 +19,16 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
-import io
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from goldens import main_in_process  # noqa: E402
 
 VALUES = [
     "1/2,0,1,2", "5/3,4/3,4/3,5/3", "0,1,3,4", "-1/3", "-10/21", "real", "x", "-",
@@ -101,26 +105,14 @@ def corpus(commands: dict, count: int, seed: int) -> list[list[str]]:
 
 
 def run_all(argvs: list[list[str]]) -> list[tuple]:
-    """(exit code, stdout, stderr) of main() for each argv, in this process."""
-    from adelicdyn.cli import main
-
-    for name in [k for k in os.environ if k.startswith("ADELICDYN_")]:
-        del os.environ[name]
-    os.environ.update(ADELICDYN_MAX_STEPS="8", COLUMNS="80")
+    """`main_in_process` for each argv; a fault is recorded as its exit code,
+    with empty output, so that it is compared."""
     results = []
     for argv in argvs:
-        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-        sys.argv = ["adelicdyn", *argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                main()
-                code = 0
-            except SystemExit as exc:
-                code = exc.code
-            except Exception as exc:  # a fault: recorded, so that it is compared
-                code = f"raised {type(exc).__name__}: {exc}"
-        out.flush()
-        results.append((code, out.buffer.getvalue().decode(), err.getvalue()))
+        try:
+            results.append(main_in_process(argv))
+        except Exception as exc:
+            results.append((f"raised {type(exc).__name__}: {exc}", "", ""))
     return results
 
 
@@ -135,9 +127,7 @@ def _child(src: str, argvs: list[list[str]]) -> list[list]:
 
 def main() -> None:
     if sys.argv[1:] == ["--run"]:
-        results = run_all(json.load(sys.stdin))
-        sys.stdout = sys.__stdout__
-        json.dump(results, sys.stdout)
+        json.dump(run_all(json.load(sys.stdin)), sys.stdout)
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
