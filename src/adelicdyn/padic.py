@@ -113,7 +113,9 @@ def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:
 
 def ball_contains(center: RationalLike, mu: int, x: RationalLike, p: int) -> bool:
     """Whether x lies in the ball {y : |y - center|_p <= p^mu}."""
-    return padic_distance(x, center, p) <= prime_power(p, mu)
+    if not hasattr(type(mu), "__index__"):
+        raise InputError(f"a ball's radius exponent needs an integer, got {type(mu).__name__}")
+    return padic_distance(x, center, p) <= prime_power(p, operator.index(mu))
 
 
 class PAdicExpansion(NamedTuple):

@@ -3,7 +3,10 @@
 Each entry runs one subcommand with --format json on a fixture map; the
 bytes on stdout are frozen under tests/golden/, and each demo's stdout
 under tests/golden/demos/.  Regenerate deliberately with
-`python tests/goldens.py` after a reviewed schema change.
+`python tests/goldens.py` after a reviewed schema change; it writes each
+file from a child process, as the acceptance suite reads it.  `run_cli`
+runs the CLI in this process; `_run` starts a child where the process
+itself is what a test checks.
 """
 
 from __future__ import annotations
@@ -84,23 +87,18 @@ def _run(argv: list[str], env_extra: dict[str, str] | None = None):
 
 
 def run_cli(args: list[str], env_extra: dict[str, str] | None = None):
-    """Invoke the CLI in a subprocess with ADELICDYN_* stripped from the env."""
-    return _run([sys.executable, "-m", "adelicdyn", *args], env_extra)
-
-
-def main_in_process(argv: list[str]):
-    """(exit code, stdout, stderr) of `adelicdyn.cli.main()` on argv, in this
-    process with ADELICDYN_* cleared, ADELICDYN_MAX_STEPS=8 and COLUMNS=80;
-    any exception but SystemExit propagates."""
+    """(exit code, stdout, stderr) of `adelicdyn.cli.main()` on args, in bytes,
+    run in this process with ADELICDYN_* cleared, env_extra applied and
+    COLUMNS=80; any exception but SystemExit propagates."""
     from adelicdyn.cli import main
 
     env = {k: v for k, v in os.environ.items() if not k.startswith("ADELICDYN_")}
-    env.update(ADELICDYN_MAX_STEPS="8", COLUMNS="80")
-    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    env.update(env_extra or {}, COLUMNS="80")
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
     code = 0
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.dict(os.environ, env, clear=True))
-        stack.enter_context(mock.patch.object(sys, "argv", ["adelicdyn", *argv]))
+        stack.enter_context(mock.patch.object(sys, "argv", ["adelicdyn", *args]))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         try:
@@ -108,7 +106,8 @@ def main_in_process(argv: list[str]):
         except SystemExit as exc:
             code = exc.code
     out.flush()
-    return code, out.buffer.getvalue().decode(), err.getvalue()
+    err.flush()
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
 
 
 def run_demo(demo: Path):
@@ -119,7 +118,7 @@ def run_demo(demo: Path):
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, args in GOLDEN_COMMANDS:
-        code, out, err = run_cli(args)
+        code, out, err = _run([sys.executable, "-m", "adelicdyn", *args])
         if code != 0:
             raise SystemExit(f"{name}: exit {code}: {err.decode()}")
         (GOLDEN_DIR / f"{name}.json").write_bytes(out)

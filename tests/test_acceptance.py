@@ -6,6 +6,7 @@ run checks the identical sample.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from adelicdyn import (
 )
 from adelicdyn.errors import PoleInput
 import oracle
-from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+from goldens import GOLDEN_COMMANDS, GOLDEN_DIR, _run
 from helpers import rand_map, rand_nonzero, rand_rational, rand_square_disc_map
 
 CASE_A_MAP = MoebiusMap(Fraction(1, 2), 0, 1, 2)
@@ -256,9 +257,12 @@ def test_criterion_09_structural_laws():
 
 
 def test_criterion_10_cli_contract():
+    # every golden from a child interpreter, as a user runs the CLI
+    cli = [sys.executable, "-m", "adelicdyn"]
     for name, args in GOLDEN_COMMANDS:
-        code, out, err = run_cli(args)
+        code, out, err = _run([*cli, *args])
         assert code == 0, f"{name}: {err.decode()}"
+        assert err == b""
         assert out == (GOLDEN_DIR / f"{name}.json").read_bytes()
     for name, args in GOLDEN_COMMANDS[:3]:
-        assert run_cli(args) == run_cli(args)
+        assert _run([*cli, *args]) == _run([*cli, *args])

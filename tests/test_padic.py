@@ -234,6 +234,9 @@ def test_expansion_serialization_shape():
 def test_ball_membership_examples():
     assert ball_contains(0, 0, 5, 3)  # |5|_3 = 1 <= 3^0
     assert not ball_contains(0, -1, 5, 3)  # 1 > 1/3
+    for mu in (Fraction(1, 2), 0.5):  # p^mu would not be rational
+        with pytest.raises(InputError):
+            ball_contains(0, mu, 5, 3)
     rng = random.Random(47)
     for _ in range(50):
         a = rand_rational(rng, 100)

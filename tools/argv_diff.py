@@ -4,8 +4,9 @@
 
 Each tree runs in a child process of the same interpreter, which calls
 `adelicdyn.cli.main()` in-process once per argv through
-`tests/goldens.py`'s `main_in_process`: every ADELICDYN_* variable
-cleared, ADELICDYN_MAX_STEPS=8 and COLUMNS=80.  The corpus is
+`tests/goldens.py`'s `run_cli`: every ADELICDYN_* variable cleared and
+COLUMNS=80.  The tool sets ADELICDYN_MAX_STEPS=8 itself, so that default
+orbits stay short, and compares stdout and stderr as text.  The corpus is
 drawn from OLD_SRC's flag table: commands, every flag, help flags, '--',
 unknown flags, '--flag=value' and '-r6' forms, and values, around a
 command or at random.  The tool prints how many argv differ in exit code,
@@ -28,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from goldens import main_in_process  # noqa: E402
+from goldens import run_cli  # noqa: E402
 
 VALUES = [
     "1/2,0,1,2", "5/3,4/3,4/3,5/3", "0,1,3,4", "-1/3", "-10/21", "real", "x", "-",
@@ -105,12 +106,13 @@ def corpus(commands: dict, count: int, seed: int) -> list[list[str]]:
 
 
 def run_all(argvs: list[list[str]]) -> list[tuple]:
-    """`main_in_process` for each argv; a fault is recorded as its exit code,
-    with empty output, so that it is compared."""
+    """`run_cli` at 8 steps for each argv, its output decoded; a fault is
+    recorded as its exit code, with empty output, so that it is compared."""
     results = []
     for argv in argvs:
         try:
-            results.append(main_in_process(argv))
+            code, out, err = run_cli(argv, {"ADELICDYN_MAX_STEPS": "8"})
+            results.append((code, out.decode(), err.decode()))
         except Exception as exc:
             results.append((f"raised {type(exc).__name__}: {exc}", "", ""))
     return results
